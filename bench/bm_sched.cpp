@@ -108,7 +108,7 @@ struct PolicyRun {
 };
 
 PolicyRun run_real(sched::SchedulePolicy policy, const Array1<double>& costs) {
-  PolicyRun out{policy};
+  PolicyRun out{policy, 0.0, {}};
   sched::SchedOptions opts{policy, sched::CombineMode::kOrdered, kGrain};
   auto res = net::Cluster::run(bench::kNodes, [&](net::Comm& comm) {
     dist::NodeRuntime node(2);

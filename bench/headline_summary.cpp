@@ -219,7 +219,7 @@ int main() {
           return dist::transform(
               dist::from_segmented(a), [&x](const dist::Segment<double>& s) {
                 double dot = 0;
-                for (std::size_t k = 0; k < s.size() / 2; ++k) {
+                for (index_t k = 0; k < s.size() / 2; ++k) {
                   dot += s[2 * k + 1] *
                          x[static_cast<std::size_t>(s[2 * k])];
                 }

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "serial/checksum.hpp"
-
 namespace triolet::net {
 
 const SliceCache::Entry* SliceCache::lookup(const serial::SliceKey& key) {
@@ -18,7 +16,6 @@ void SliceCache::insert(const serial::SliceKey& key,
                         std::span<const std::byte> payload) {
   Entry e;
   e.len = payload.size();
-  e.checksum = serial::checksum(payload);
   e.bytes.assign(payload.begin(), payload.end());
   if (stats_) stats_->bytes_inserted += static_cast<std::int64_t>(e.len);
   place(key, std::move(e));

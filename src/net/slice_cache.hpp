@@ -89,6 +89,10 @@ class SliceCache {
  public:
   struct Entry {
     std::size_t len = 0;
+    /// Meaningful only for model entries (insert_meta): the token the
+    /// sender writes. Receiver entries leave it 0 — a cache hit recomputes
+    /// the checksum from `bytes`, which is what catches a slice corrupted
+    /// after insert.
     std::uint64_t checksum = 0;
     std::vector<std::byte> bytes;  // empty in model mode
   };

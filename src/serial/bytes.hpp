@@ -59,8 +59,7 @@ class SegmentedBytes {
 
   SegmentedBytes() = default;
   SegmentedBytes(std::vector<std::byte> owned, std::vector<Segment> segments,
-                 std::size_t total,
-                 std::uint64_t stream_checksum = kChecksumSeed)
+                 std::size_t total, std::uint64_t stream_checksum)
       : owned_(std::move(owned)), segments_(std::move(segments)),
         total_(total), stream_checksum_(stream_checksum) {}
 
@@ -141,7 +140,7 @@ class SegmentedBytes {
   std::vector<std::byte> owned_;
   std::vector<Segment> segments_;
   std::size_t total_ = 0;
-  std::uint64_t stream_checksum_ = kChecksumSeed;
+  std::uint64_t stream_checksum_ = Checksum().value();  // of the empty stream
 };
 
 class ByteWriter {
@@ -171,7 +170,7 @@ class ByteWriter {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + n);
     total_ += n;
-    if (segment_mode_) crc_ = checksum_accumulate(crc_, {p, n});
+    if (segment_mode_) crc_.update({p, n});
   }
 
   /// Like write_raw, but in segment mode spans of at least
@@ -187,7 +186,7 @@ class ByteWriter {
     segments_.push_back(
         {true, 0, static_cast<const std::byte*>(data), n});
     total_ += n;
-    crc_ = checksum_accumulate(crc_, {static_cast<const std::byte*>(data), n});
+    crc_.update({static_cast<const std::byte*>(data), n});
   }
 
   template <typename T>
@@ -217,12 +216,13 @@ class ByteWriter {
   /// bytes recorded as borrowed segments that were never copied here.
   SegmentedBytes take_segments() {
     flush_owned_segment();
-    SegmentedBytes out(std::move(buf_), std::move(segments_), total_, crc_);
+    SegmentedBytes out(std::move(buf_), std::move(segments_), total_,
+                       crc_.value());
     buf_.clear();
     segments_.clear();
     total_ = 0;
     owned_flushed_ = 0;
-    crc_ = kChecksumSeed;
+    crc_ = Checksum();
     return out;
   }
 
@@ -242,7 +242,7 @@ class ByteWriter {
   std::vector<SegmentedBytes::Segment> segments_;
   std::size_t total_ = 0;
   std::size_t owned_flushed_ = 0;
-  std::uint64_t crc_ = kChecksumSeed;  // accumulated only in segment mode
+  Checksum crc_;  // accumulated only in segment mode
   bool segment_mode_ = false;
 };
 

@@ -31,9 +31,11 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "serial/checksum.hpp"
 #include "support/macros.hpp"
 
 namespace triolet::serial {
@@ -50,14 +52,11 @@ struct SliceKey {
 };
 
 struct SliceKeyHash {
+  static_assert(std::has_unique_object_representations_v<SliceKey>);
   std::size_t operator()(const SliceKey& k) const {
-    // FNV-1a over the fields; good enough for a per-rank cache map.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t v : {k.id, k.version, static_cast<std::uint64_t>(k.lo),
-                            static_cast<std::uint64_t>(k.hi)}) {
-      h = (h ^ v) * 0x100000001b3ull;
-    }
-    return static_cast<std::size_t>(h);
+    // The payload checksum over the key's 32 bytes (no padding).
+    return static_cast<std::size_t>(
+        checksum(std::as_bytes(std::span<const SliceKey, 1>(&k, 1))));
   }
 };
 

@@ -136,7 +136,9 @@ TEST(Cluster, ReduceFoldsInRankOrder) {
     // ops; only the parenthesization differs from a linear fold.
     std::string mine(1, static_cast<char>('A' + c.rank()));
     auto r = c.reduce(mine, [](std::string a, std::string b) { return a + b; }, 0);
-    if (c.rank() == 0) EXPECT_EQ(r, "ABCD");
+    if (c.rank() == 0) {
+      EXPECT_EQ(r, "ABCD");
+    }
   });
   EXPECT_TRUE(res.ok);
 }

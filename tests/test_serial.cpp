@@ -8,6 +8,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -230,7 +231,12 @@ TEST(Checksum, IsStableAndSensitive) {
 }
 
 TEST(Checksum, EmptyPayloadHasFixedValue) {
-  EXPECT_EQ(checksum({}), 0xcbf29ce484222325ull);
+  EXPECT_EQ(checksum({}), 0xEF46DB3751D8E999ull);
+  // The empty stream's stamp is that same value, however it is produced.
+  EXPECT_EQ(Checksum().value(), checksum({}));
+  EXPECT_EQ(SegmentedBytes().stream_checksum(), checksum({}));
+  EXPECT_EQ(ByteWriter::segmented().take_segments().stream_checksum(),
+            checksum({}));
 }
 
 TEST(Checksum, AccumulateComposesWithOneShot) {
@@ -238,8 +244,105 @@ TEST(Checksum, AccumulateComposesWithOneShot) {
   const std::span<const std::byte> all(bytes);
   for (std::size_t split : {std::size_t{0}, std::size_t{1}, bytes.size() / 2,
                             bytes.size()}) {
-    const auto partial = checksum_accumulate(kChecksumSeed, all.subspan(0, split));
-    EXPECT_EQ(checksum_accumulate(partial, all.subspan(split)), checksum(all));
+    Checksum c;
+    c.update(all.subspan(0, split));
+    c.update(all.subspan(split));
+    EXPECT_EQ(c.value(), checksum(all));
+  }
+}
+
+std::span<const std::byte> as_byte_span(std::string_view s) {
+  return std::as_bytes(std::span<const char>(s.data(), s.size()));
+}
+
+/// `n` bytes of a fixed pseudo-random pattern.
+std::vector<std::byte> pattern_bytes(std::size_t n) {
+  Xoshiro256 rng(42);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) b = static_cast<std::byte>(rng.below(256));
+  return v;
+}
+
+TEST(Checksum, KnownAnswersMatchXxh64Seed0) {
+  EXPECT_EQ(checksum(as_byte_span("")), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(checksum(as_byte_span("a")), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(checksum(as_byte_span("abc")), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(checksum(as_byte_span("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(Checksum, StreamingEqualsOneShotAtEverySplit) {
+  // Lengths 0-130 cross the 32-byte stripe and the 8-, 4- and 1-byte tail
+  // steps; every two-way split must agree with the one-shot value.
+  const auto data = pattern_bytes(130);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::span<const std::byte> all(data.data(), n);
+    const std::uint64_t want = checksum(all);
+    for (std::size_t split = 0; split <= n; ++split) {
+      Checksum c;
+      c.update(all.subspan(0, split));
+      c.update(all.subspan(split));
+      EXPECT_EQ(c.value(), want) << "n=" << n << " split=" << split;
+    }
+  }
+  // Every three-way split of a few lengths around stripe boundaries, with a
+  // value() read mid-stream that must not disturb the state.
+  for (std::size_t n : {31, 32, 33, 63, 64, 65, 100, 130}) {
+    const std::span<const std::byte> all(data.data(), n);
+    const std::uint64_t want = checksum(all);
+    for (std::size_t i = 0; i <= n; ++i) {
+      for (std::size_t j = i; j <= n; ++j) {
+        Checksum c;
+        c.update(all.subspan(0, i));
+        c.update(all.subspan(i, j - i));
+        (void)c.value();
+        c.update(all.subspan(j));
+        EXPECT_EQ(c.value(), want) << "n=" << n << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(Checksum, FlippingAnySingleByteChangesTheValue) {
+  auto small = pattern_bytes(1024);
+  const std::uint64_t small_base = checksum(small);
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    for (std::byte mask : {std::byte{0x01}, std::byte{0x80}}) {
+      small[i] ^= mask;
+      EXPECT_NE(checksum(small), small_base) << "i=" << i;
+      small[i] ^= mask;
+    }
+  }
+  // (1 MiB + 13) bytes: a 13-byte tail takes the 8-, 4- and 1-byte steps.
+  // Every byte of the first and last two stripes and of the tail, plus a
+  // stride through the middle that visits every lane offset.
+  auto big = pattern_bytes((std::size_t{1} << 20) + 13);
+  const std::uint64_t big_base = checksum(big);
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i < 64; ++i) at.push_back(i);
+  for (std::size_t i = 64; i < big.size() - 77; i += 4099) at.push_back(i);
+  for (std::size_t i = big.size() - 77; i < big.size(); ++i) at.push_back(i);
+  for (std::size_t i : at) {
+    big[i] ^= std::byte{0x01};
+    EXPECT_NE(checksum(big), big_base) << "i=" << i;
+    big[i] ^= std::byte{0x01};
+  }
+}
+
+TEST(Checksum, SwappingWordsInDifferentLanesChangesTheValue) {
+  // Eight distinct 8-byte words: two stripes, word w feeds lane w % 4.
+  std::vector<std::uint64_t> words{1, 2, 3, 4, 5, 6, 7, 8};
+  const auto bytes = [&] {
+    return std::as_bytes(std::span<const std::uint64_t>(words));
+  };
+  const std::uint64_t base = checksum(bytes());
+  for (std::size_t a = 0; a < words.size(); ++a) {
+    for (std::size_t b = a + 1; b < words.size(); ++b) {
+      if (a % 4 == b % 4) continue;
+      std::swap(words[a], words[b]);
+      EXPECT_NE(checksum(bytes()), base) << "a=" << a << " b=" << b;
+      std::swap(words[a], words[b]);
+    }
   }
 }
 
