@@ -11,12 +11,15 @@
 //     version counter bumped on mutation. `from_resident(d)` builds an
 //     ordinary core:: iterator over it — every existing skeleton call site
 //     works unchanged; only the wire format of its slices differs.
-//   * `ResidentSource<T>` is the iterator source: a shared view of the
-//     array that narrows [lo, hi) under slice_source without copying (the
-//     plain Array1 source copies its sub-range on every slice). Its codec
-//     consults the thread-local residency encoder/decoder (serial/
+//   * `ResidentSource<T>` is the iterator source: a shared, read-only view
+//     of [lo, hi) that narrows under slice_source without copying (the
+//     plain Array1 source copies its sub-range on every slice). The same
+//     type views the owner's array and a receiver's cached slice: it holds
+//     an aliasing pointer to the storage plus the storage's base index. Its
+//     codec consults the thread-local residency encoder/decoder (serial/
 //     residency.hpp): with a scope installed, a slice the receiver already
-//     holds travels as an 8-byte checksum token instead of its payload.
+//     holds travels as an 8-byte checksum token instead of its payload, and
+//     the decoded source views the cache's validated bytes in place.
 //   * `DistContext<C>` / `ResidentCtx<C>` give broadcast contexts the same
 //     treatment — an unchanged closure context is shipped once and then
 //     tokenized, which matters for map_with loops whose context is big.
@@ -24,10 +27,13 @@
 // Wire format of one resident slice (after the id/version/range header):
 //   kind 0: inline payload (write_borrowable -> zero-copy eligible)
 //   kind 1: u64 stream checksum of the payload the receiver must hold.
+// The receiver checks the header before it sizes or resolves anything: a
+// reversed range, an element count whose byte size overflows, or an inline
+// length longer than the message aborts the decode.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <utility>
@@ -42,37 +48,42 @@
 
 namespace triolet::dist {
 
-/// Iterator source over a resident array: a shared, zero-copy view of
-/// [lo, hi) carrying the owning DistArray's identity.
+/// Iterator source over a resident array: a shared, zero-copy, read-only
+/// view of [lo, hi) carrying the owning DistArray's identity. `data` points
+/// at the element with global index `base` and shares ownership of the
+/// storage it points into — the owner's array, or the receiver's cached
+/// slice buffer (serial::SliceBuffer).
 template <typename T>
 struct ResidentSource {
-  std::shared_ptr<const Array1<T>> data;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "a received ResidentSource views a slice buffer from "
+                "operator new[], which guarantees only this alignment");
+
+  std::shared_ptr<const T> data;
+  index_t base = 0;
   index_t lo = 0;
   index_t hi = 0;
   std::uint64_t id = 0;
   std::uint64_t version = 0;
 
-  const T& operator[](index_t i) const { return (*data)[i]; }
+  const T& operator[](index_t i) const { return data.get()[i - base]; }
 
   serial::SliceKey key() const { return {id, version, lo, hi}; }
+
+  /// The elements of [lo, hi).
+  std::span<const T> elements() const {
+    return {data.get() + (lo - base), static_cast<std::size_t>(hi - lo)};
+  }
 
   /// Raw element bytes of this view — the payload the residency cache
   /// stores and checksums.
   std::span<const std::byte> payload_bytes() const {
-    const T* p = data->data() + (lo - data->lo());
-    return std::as_bytes(
-        std::span<const T>(p, static_cast<std::size_t>(hi - lo)));
+    return std::as_bytes(elements());
   }
 
   bool operator==(const ResidentSource& o) const {
-    if (id != o.id || version != o.version || lo != o.lo || hi != o.hi) {
-      return false;
-    }
-    if (!data || !o.data) return !data == !o.data;
-    for (index_t i = lo; i < hi; ++i) {
-      if (!((*data)[i] == (*o.data)[i])) return false;
-    }
-    return true;
+    return id == o.id && version == o.version && lo == o.lo && hi == o.hi &&
+           std::ranges::equal(elements(), o.elements());
   }
 };
 
@@ -83,7 +94,7 @@ ResidentSource<T> slice_source(const ResidentSource<T>& s, core::Seq,
                                core::Seq sub) {
   TRIOLET_CHECK(sub.lo >= s.lo && sub.hi <= s.hi && sub.lo <= sub.hi,
                 "resident slice out of range");
-  return {s.data, sub.lo, sub.hi, s.id, s.version};
+  return {s.data, s.base, sub.lo, sub.hi, s.id, s.version};
 }
 
 /// Extractor for resident iterators (the Array1Ext analogue).
@@ -167,6 +178,8 @@ class DistArray {
   std::uint64_t tune_key() const { return id_; }
 
   /// Writable access; bumps the version so cached slices are invalidated.
+  /// Write elements only: sources alias the array's storage, so resizing
+  /// or reassigning the array would leave them dangling.
   Array1<T>& mutate() {
     version_->fetch_add(1, std::memory_order_acq_rel);
     return *array_;
@@ -174,7 +187,8 @@ class DistArray {
 
   /// The iterator source over the full array at the current version.
   ResidentSource<T> source() const {
-    return {array_, array_->lo(), array_->hi(), id_, version()};
+    return {std::shared_ptr<const T>(array_, array_->data()), array_->lo(),
+            array_->lo(), array_->hi(), id_, version()};
   }
 
  private:
@@ -337,7 +351,8 @@ struct Codec<triolet::dist::ResidentSource<T>> {
   using S = triolet::dist::ResidentSource<T>;
 
   static void write(ByteWriter& w, const S& s) {
-    TRIOLET_CHECK(s.data != nullptr, "serializing an empty ResidentSource");
+    TRIOLET_CHECK(s.data != nullptr || s.lo == s.hi,
+                  "serializing an empty ResidentSource");
     w.write_pod(s.id);
     w.write_pod(s.version);
     w.write_pod(s.lo);
@@ -362,23 +377,33 @@ struct Codec<triolet::dist::ResidentSource<T>> {
     const auto lo = r.read_pod<index_t>();
     const auto hi = r.read_pod<index_t>();
     const auto kind = r.read_pod<std::uint8_t>();
+    // The header comes off the wire: check it before it sizes or resolves
+    // anything. The unsigned difference is exact once lo <= hi holds.
+    TRIOLET_CHECK(lo <= hi, "resident slice header has hi < lo");
+    const std::uint64_t count =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    TRIOLET_CHECK(count <= static_cast<std::uint64_t>(PTRDIFF_MAX) / sizeof(T),
+                  "resident slice header's byte size overflows");
     const serial::SliceKey key{id, version, lo, hi};
-    const std::size_t nbytes =
-        static_cast<std::size_t>(hi - lo) * sizeof(T);
-    std::vector<T> elems(static_cast<std::size_t>(hi - lo));
+    const std::size_t nbytes = static_cast<std::size_t>(count) * sizeof(T);
     auto* dec = current_residency_decoder();
+    SliceBuffer bytes;
     if (kind == 0) {
       const auto raw = r.borrow(nbytes);
-      if (nbytes != 0) std::memcpy(elems.data(), raw.data(), nbytes);
-      if (dec != nullptr && nbytes != 0) dec->store(key, raw);
+      // An empty slice has nothing to view and is never cached.
+      if (nbytes != 0) {
+        bytes = dec != nullptr ? dec->store(key, raw) : make_slice_buffer(raw);
+      }
     } else {
       const auto token = r.read_pod<std::uint64_t>();
       TRIOLET_CHECK(dec != nullptr,
                     "resident token received without a decode scope");
-      dec->resolve(key, token,
-                   std::as_writable_bytes(std::span<T>(elems)));
+      bytes = dec->resolve(key, token, nbytes);
     }
-    s = S{std::make_shared<Array1<T>>(lo, std::move(elems)), lo, hi, id,
+    // Every slice buffer is filled by memcpy, which implicitly creates the
+    // (trivially copyable) T elements this view reads.
+    const auto* elems = reinterpret_cast<const T*>(bytes.get());
+    s = S{std::shared_ptr<const T>(std::move(bytes), elems), lo, lo, hi, id,
           version};
   }
 };
@@ -417,20 +442,26 @@ struct Codec<triolet::dist::ResidentCtx<C>> {
   static void read(ByteReader& r, S& s) {
     const auto id = r.read_pod<std::uint64_t>();
     const auto version = r.read_pod<std::uint64_t>();
-    const auto len = static_cast<std::size_t>(r.read_pod<std::uint64_t>());
+    const auto len = r.read_pod<std::uint64_t>();
     const auto kind = r.read_pod<std::uint8_t>();
     const serial::SliceKey key{id, version, 0,
                                static_cast<std::int64_t>(len)};
     auto* dec = current_residency_decoder();
-    std::vector<std::byte> bytes(len);
+    std::span<const std::byte> bytes;
+    SliceBuffer resolved;  // keeps a resolved slice alive while C decodes
     if (kind == 0) {
-      r.read_raw(bytes.data(), len);
+      // Checked before the borrow: the length comes off the wire.
+      TRIOLET_CHECK(len <= r.remaining(),
+                    "resident context header claims more bytes than the "
+                    "message holds");
+      bytes = r.borrow(static_cast<std::size_t>(len));
       if (dec != nullptr && len != 0) dec->store(key, bytes);
     } else {
       const auto token = r.read_pod<std::uint64_t>();
       TRIOLET_CHECK(dec != nullptr,
                     "resident token received without a decode scope");
-      dec->resolve(key, token, bytes);
+      resolved = dec->resolve(key, token, static_cast<std::size_t>(len));
+      bytes = {resolved.get(), static_cast<std::size_t>(len)};
     }
     s = S{std::make_shared<const C>(from_bytes<C>(bytes)), id, version};
   }

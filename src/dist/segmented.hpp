@@ -67,8 +67,8 @@ struct SegmentedSource {
   Segment<T> segment(index_t s) const {
     const index_t b = offsets[s];
     const index_t e = offsets[s + 1];
-    const T* base = values.data->data() + (b - values.data->lo());
-    return Segment<T>{s, std::span<const T>(base,
+    const T* first = values.data.get() + (b - values.base);
+    return Segment<T>{s, std::span<const T>(first,
                                             static_cast<std::size_t>(e - b))};
   }
 

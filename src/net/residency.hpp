@@ -12,14 +12,15 @@
 //
 // Receiver side — ResidencyDecodeScope: an inline slice is stored into this
 // rank's cache for future rounds; a token is resolved from the cache after
-// checksum validation. On a miss or a validation failure the receiver
-// repairs itself with a fetch round trip to the owner (kTagResidentFetch /
-// kTagResidentData), so a divergent cache costs one extra round trip, never
-// a wrong answer. The owner answers fetches from inside its own blocking
-// receives via the Comm service hook, so a worker blocked on a fetch can
-// never deadlock against a root blocked in the enclosing collective.
+// checksum validation. Either way the decoded source shares the cache's
+// buffer, so a hit costs the checksum pass and nothing else. On a miss or a
+// validation failure the receiver repairs itself with a fetch round trip to
+// the owner (kTagResidentFetch / kTagResidentData), so a divergent cache
+// costs one extra round trip, never a wrong answer. The owner answers
+// fetches from inside its own blocking receives via the Comm service hook,
+// so a worker blocked on a fetch can never deadlock against a root blocked
+// in the enclosing collective.
 
-#include <cstring>
 #include <optional>
 #include <span>
 
@@ -107,19 +108,19 @@ class ResidencyDecodeScope final : public serial::ResidencyDecoder {
         stats_(&comm.residency_stats()),
         owner_(owner) {}
 
-  void resolve(const serial::SliceKey& key, std::uint64_t checksum,
-               std::span<std::byte> out) override {
+  serial::SliceBuffer resolve(const serial::SliceKey& key,
+                              std::uint64_t checksum,
+                              std::size_t len) override {
     {
       // Cache probe under the Residency lock (shared across jobs under the
       // service layer) — released before the fetch round trip below, so a
       // blocked fetch never holds the rank's other jobs off their cache.
       std::lock_guard<std::mutex> lock(res_->mu);
       if (const auto* e = res_->cache.lookup(key)) {
-        if (!e->bytes.empty() && e->len == out.size() &&
-            serial::checksum(e->bytes) == checksum) {
+        if (e->bytes && e->len == len &&
+            serial::checksum({e->bytes.get(), len}) == checksum) {
           stats_->cache_hits += 1;
-          std::memcpy(out.data(), e->bytes.data(), out.size());
-          return;
+          return e->bytes;
         }
         // Cached but wrong (corruption, or a model-mode entry with no
         // bytes): drop it and repair through the fetch path.
@@ -132,17 +133,16 @@ class ResidencyDecodeScope final : public serial::ResidencyDecoder {
     }
     comm_->send(owner_, kTagResidentFetch, SliceFetchRequest{key});
     Message m = comm_->recv_message(owner_, kTagResidentData);
-    TRIOLET_CHECK(m.payload.size() == out.size(),
+    TRIOLET_CHECK(m.payload.size() == len,
                   "resident fetch returned wrong slice size");
-    std::memcpy(out.data(), m.payload.data(), out.size());
     std::lock_guard<std::mutex> lock(res_->mu);
-    res_->cache.insert(key, m.payload);
+    return res_->cache.insert(key, m.payload);
   }
 
-  void store(const serial::SliceKey& key,
-             std::span<const std::byte> payload) override {
+  serial::SliceBuffer store(const serial::SliceKey& key,
+                            std::span<const std::byte> payload) override {
     std::lock_guard<std::mutex> lock(res_->mu);
-    res_->cache.insert(key, payload);
+    return res_->cache.insert(key, payload);
   }
 
  private:

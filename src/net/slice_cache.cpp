@@ -12,13 +12,15 @@ const SliceCache::Entry* SliceCache::lookup(const serial::SliceKey& key) {
   return &it->second.entry;
 }
 
-void SliceCache::insert(const serial::SliceKey& key,
-                        std::span<const std::byte> payload) {
+serial::SliceBuffer SliceCache::insert(const serial::SliceKey& key,
+                                       std::span<const std::byte> payload) {
   Entry e;
   e.len = payload.size();
-  e.bytes.assign(payload.begin(), payload.end());
+  e.bytes = serial::make_slice_buffer(payload);
   if (stats_) stats_->bytes_inserted += static_cast<std::int64_t>(e.len);
+  serial::SliceBuffer out = e.bytes;
   place(key, std::move(e));
+  return out;
 }
 
 void SliceCache::insert_meta(const serial::SliceKey& key, std::size_t len,
@@ -76,8 +78,8 @@ void SliceCache::erase_node(
 
 bool SliceCache::corrupt_one_for_testing() {
   for (auto& [key, node] : map_) {
-    if (!node.entry.bytes.empty()) {
-      node.entry.bytes[0] ^= std::byte{0x01};
+    if (node.entry.bytes && node.entry.len != 0) {
+      node.entry.bytes.get()[0] ^= std::byte{0x01};
       return true;
     }
   }

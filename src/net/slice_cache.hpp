@@ -22,10 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "serial/residency.hpp"
 
@@ -94,7 +94,11 @@ class SliceCache {
     /// the checksum from `bytes`, which is what catches a slice corrupted
     /// after insert.
     std::uint64_t checksum = 0;
-    std::vector<std::byte> bytes;  // empty in model mode
+    /// The slice's `len` bytes (null in model mode). Decoded sources share
+    /// this buffer instead of copying it, so retiring or evicting the entry
+    /// frees the bytes only when the last such view is dropped; the budget
+    /// counts what the cache holds, not what views still pin.
+    std::shared_ptr<std::byte> bytes;
   };
 
   explicit SliceCache(std::size_t budget_bytes,
@@ -104,10 +108,12 @@ class SliceCache {
   /// Finds `key` and marks it most-recently-used. Returns nullptr on miss.
   const Entry* lookup(const serial::SliceKey& key);
 
-  /// Stores the payload bytes (receiver side). Budget accounting counts the
-  /// payload length; the new entry itself may be evicted immediately when
-  /// it alone exceeds the budget — deterministically, on both sides.
-  void insert(const serial::SliceKey& key, std::span<const std::byte> payload);
+  /// Copies the payload into a new buffer and stores it (receiver side).
+  /// Budget accounting counts the payload length; the new entry itself may
+  /// be evicted immediately when it alone exceeds the budget —
+  /// deterministically, on both sides. Returns the buffer either way.
+  serial::SliceBuffer insert(const serial::SliceKey& key,
+                             std::span<const std::byte> payload);
 
   /// Stores length + checksum only (sender-side model). Applies the exact
   /// same retirement/eviction sequence as insert() so the model tracks the
@@ -121,9 +127,9 @@ class SliceCache {
   std::size_t entries() const { return map_.size(); }
   std::size_t budget() const { return budget_; }
 
-  /// Flips one byte of one cached payload (tests: forces the
-  /// checksum-mismatch fetch fallback). Returns false when no entry with
-  /// stored bytes exists.
+  /// Flips one byte of one cached payload in place, under any view that
+  /// shares it (tests: forces the checksum-mismatch fetch fallback).
+  /// Returns false when no entry with stored bytes exists.
   bool corrupt_one_for_testing();
 
  private:

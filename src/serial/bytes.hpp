@@ -267,6 +267,7 @@ class ByteReader {
   void read_raw(void* out, std::size_t n) {
     TRIOLET_CHECK(n <= bytes_.size() - pos_,
                   "deserialization read past end of buffer");
+    if (n == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
   }

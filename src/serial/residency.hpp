@@ -17,6 +17,11 @@
 //     a codec consults through a thread-local slot. With no scope installed,
 //     codecs serialize slices inline exactly as before — residency is
 //     strictly opt-in and invisible to non-resident types.
+//   * A decoder hands out the receiver cache's own bytes: a shared,
+//     read-only `SliceBuffer` that the decoded source views in place. A
+//     validated hit copies nothing, and an inline slice is copied once, into
+//     the cache. The view keeps the buffer alive after its cache entry is
+//     retired or evicted.
 //   * `ResidentProviderRegistry` maps a source id back to its live bytes so
 //     a receiver whose cache misses (or fails validation) can fetch the
 //     authoritative slice from the owner.
@@ -27,7 +32,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -71,16 +78,37 @@ class ResidencyEncoder {
       const SliceKey& key, std::span<const std::byte> payload) = 0;
 };
 
-/// Receiver-side hook. `resolve` materializes a tokenized slice into `out`
-/// (from cache, or by fetching from the owner on miss/corruption);
-/// `store` records an inline-received slice for future rounds.
+/// Read-only bytes of one resident slice, shared between the receiver's
+/// cache and every source decoded from it.
+using SliceBuffer = std::shared_ptr<const std::byte>;
+
+/// A new slice buffer holding a copy of `bytes`. It comes from operator
+/// new[], so it is aligned to __STDCPP_DEFAULT_NEW_ALIGNMENT__ and can be
+/// viewed as an array of any element type with no stricter alignment, and
+/// it is not zero-filled before the copy (make_shared<std::byte[]> would
+/// zero-fill and guarantees only byte alignment).
+inline std::shared_ptr<std::byte> make_slice_buffer(
+    std::span<const std::byte> bytes) {
+  std::shared_ptr<std::byte> buf(new std::byte[bytes.size()],
+                                 std::default_delete<std::byte[]>());
+  if (!bytes.empty()) std::memcpy(buf.get(), bytes.data(), bytes.size());
+  return buf;
+}
+
+/// Receiver-side hook. Both calls return the slice's bytes as the
+/// receiver cache's own buffer:
+///   * `resolve` serves a token. A cached slice is used only after its
+///     checksum, recomputed over every byte, equals the token; a miss or a
+///     mismatch fetches the slice from its owner.
+///   * `store` copies an inline-received slice into the cache for future
+///     rounds.
 class ResidencyDecoder {
  public:
   virtual ~ResidencyDecoder() = default;
-  virtual void resolve(const SliceKey& key, std::uint64_t checksum,
-                       std::span<std::byte> out) = 0;
-  virtual void store(const SliceKey& key,
-                     std::span<const std::byte> payload) = 0;
+  virtual SliceBuffer resolve(const SliceKey& key, std::uint64_t checksum,
+                              std::size_t len) = 0;
+  virtual SliceBuffer store(const SliceKey& key,
+                            std::span<const std::byte> payload) = 0;
 };
 
 namespace detail {

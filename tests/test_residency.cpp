@@ -1,15 +1,18 @@
-// Tests for the resident-data layer (PR: slice caching + rescatter
+// Tests for the resident-data layer (slice caching + rescatter
 // avoidance): DistArray/DistContext identity and versioning, the SliceCache
 // itself (LRU order, byte budgets, version retirement, sender-model
-// equivalence), the token scatter protocol end to end on rank threads,
-// the checksum-mismatch fetch fallback, and the kOrdered bitwise-identity
-// guarantee residency must preserve.
+// equivalence), decoded sources sharing the cache's buffer, the rejection
+// of malformed resident headers, the token scatter protocol end to end on
+// rank threads, the checksum-mismatch fetch fallback, and the kOrdered
+// bitwise-identity guarantee residency must preserve.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "core/triolet.hpp"
 #include "dist/dist_array.hpp"
@@ -157,6 +160,154 @@ TEST(DistArrayHandle, ResidencyTraitSeesResidentSources) {
   // map() composes extractors only — the source (and the trait) survive.
   auto mapped = map(from_resident(d), [](double x) { return x + 1; });
   EXPECT_TRUE(core::iter_uses_residency_v<decltype(mapped)>);
+}
+
+// -- decoded sources share the cache's buffer --------------------------------
+
+/// Sends `src` from this rank to itself through the real codecs: encoded
+/// against the sender model for this rank (inline on a model miss, a token
+/// on a hit), decoded under this rank's decode scope.
+template <typename T>
+ResidentSource<T> send_to_self(net::Comm& comm, const ResidentSource<T>& src) {
+  std::vector<std::byte> bytes;
+  {
+    net::ResidencyEncodeScope enc(comm, comm.rank());
+    bytes = serial::to_bytes(src);
+  }
+  net::ResidencyDecodeScope dec(comm, comm.rank());
+  return serial::from_bytes<ResidentSource<T>>(bytes);
+}
+
+const void* cached_bytes(net::Comm& comm, const serial::SliceKey& key) {
+  const auto* e = comm.residency().cache.lookup(key);
+  return e != nullptr ? e->bytes.get() : nullptr;
+}
+
+TEST(ResidencySharedHit, WarmHitReturnsTheCachedBufferWithoutCopying) {
+  BudgetGuard guard(std::size_t{64} << 20);
+  DistArray<double> d{random_array(1000, 21)};
+  const auto src = slice_source(d.source(), core::Seq{}, core::Seq{100, 900});
+  const std::int64_t slice_bytes = 800 * sizeof(double);
+  auto res = net::Cluster::run(1, [&](net::Comm& comm) {
+    const auto& rs = comm.residency_stats();
+    const auto cold = send_to_self(comm, src);
+    // The inline-received slice was copied once, into the cache, and the
+    // decoded source views that entry's buffer. (Asserted: without the
+    // entry the token below would block on a fetch no rank answers.)
+    EXPECT_EQ(rs.slices_inlined, 1);
+    EXPECT_EQ(rs.bytes_inserted, slice_bytes);
+    ASSERT_EQ(static_cast<const void*>(cold.data.get()),
+              cached_bytes(comm, src.key()));
+    EXPECT_EQ(cold, src);
+
+    const auto warm = send_to_self(comm, src);
+    EXPECT_EQ(rs.tokens_sent, 1);
+    EXPECT_EQ(rs.cache_hits, 1);
+    EXPECT_EQ(warm.data.get(), cold.data.get());  // the same bytes, no copy
+    EXPECT_EQ(rs.bytes_inserted, slice_bytes);     // and no new entry
+    EXPECT_EQ(warm, src);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+}
+
+TEST(ResidencySharedHit, ViewOutlivesItsEntryRetiredByMutate) {
+  BudgetGuard guard(std::size_t{64} << 20);
+  const auto xs = random_array(1000, 22);
+  DistArray<double> d{Array1<double>(xs)};
+  auto res = net::Cluster::run(1, [&](net::Comm& comm) {
+    const auto v1 = send_to_self(comm, d.source());
+    d.mutate()[0] += 1.0;  // version 2 retires every version-1 slice
+    const auto v2 = send_to_self(comm, d.source());
+    EXPECT_EQ(cached_bytes(comm, v1.key()), nullptr);
+    EXPECT_EQ(comm.residency().cache.entries(), 1u);
+    EXPECT_TRUE(std::ranges::equal(v1.elements(), xs.span()));
+    EXPECT_EQ(v2, d.source());
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+}
+
+TEST(ResidencySharedHit, ViewOutlivesItsEvictedEntry) {
+  const index_t n = 2000;
+  DistArray<double> da{random_array(n, 23)};
+  DistArray<double> db{random_array(n, 24)};
+  const std::size_t slice_bytes = n * sizeof(double);
+  BudgetGuard guard(slice_bytes + slice_bytes / 2);  // under two slices
+  auto res = net::Cluster::run(1, [&](net::Comm& comm) {
+    const auto a = send_to_self(comm, da.source());
+    const auto b = send_to_self(comm, db.source());  // evicts a's entry
+    EXPECT_EQ(comm.residency_stats().evictions, 1);
+    EXPECT_EQ(cached_bytes(comm, a.key()), nullptr);
+    EXPECT_EQ(comm.residency().cache.bytes_held(), slice_bytes);
+    EXPECT_EQ(a, da.source());
+    EXPECT_EQ(b, db.source());
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+}
+
+// -- malformed resident headers ----------------------------------------------
+
+/// A decoder no malformed header may reach: if a header check were missing,
+/// the death tests below would die with this message instead of theirs.
+struct UnreachableDecoder final : serial::ResidencyDecoder {
+  serial::SliceBuffer resolve(const serial::SliceKey&, std::uint64_t,
+                              std::size_t) override {
+    assert_fail("resolve", __FILE__, __LINE__, "decoder reached");
+  }
+  serial::SliceBuffer store(const serial::SliceKey&,
+                            std::span<const std::byte>) override {
+    assert_fail("store", __FILE__, __LINE__, "decoder reached");
+  }
+};
+
+/// A hand-built ResidentSource header: id, version, [lo, hi) and kind,
+/// then one u64 (the token when kind is 1).
+std::vector<std::byte> source_header(index_t lo, index_t hi,
+                                     std::uint8_t kind) {
+  serial::ByteWriter w;
+  w.write_pod<std::uint64_t>(1);
+  w.write_pod<std::uint64_t>(1);
+  w.write_pod(lo);
+  w.write_pod(hi);
+  w.write_pod(kind);
+  w.write_pod<std::uint64_t>(0);
+  return w.take();
+}
+
+TEST(ResidencyMalformedDeathTest, ReversedRangeDiesBeforeTheDecoder) {
+  UnreachableDecoder dec;
+  serial::ScopedResidencyDecoder scope(&dec);
+  for (const std::uint8_t kind : {0, 1}) {
+    EXPECT_DEATH((void)serial::from_bytes<ResidentSource<double>>(
+                     source_header(10, 5, kind)),
+                 "hi < lo");
+  }
+}
+
+TEST(ResidencyMalformedDeathTest, OverflowingByteSizeDiesBeforeTheDecoder) {
+  UnreachableDecoder dec;
+  serial::ScopedResidencyDecoder scope(&dec);
+  constexpr index_t kMin = std::numeric_limits<index_t>::min();
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+  EXPECT_DEATH((void)serial::from_bytes<ResidentSource<double>>(
+                   source_header(0, kMax, 1)),
+               "byte size overflows");
+  EXPECT_DEATH((void)serial::from_bytes<ResidentSource<double>>(
+                   source_header(kMin, kMax, 0)),
+               "byte size overflows");
+}
+
+TEST(ResidencyMalformedDeathTest, InlineContextLongerThanMessageDies) {
+  UnreachableDecoder dec;
+  serial::ScopedResidencyDecoder scope(&dec);
+  serial::ByteWriter w;
+  w.write_pod<std::uint64_t>(1);                 // id
+  w.write_pod<std::uint64_t>(1);                 // version
+  w.write_pod<std::uint64_t>(std::uint64_t{1} << 40);  // len
+  w.write_pod<std::uint8_t>(0);                  // inline
+  w.write_pod<std::uint64_t>(0);                 // 8 of the claimed bytes
+  const auto bytes = w.take();
+  EXPECT_DEATH((void)serial::from_bytes<ResidentCtx<Weights>>(bytes),
+               "more bytes than the message holds");
 }
 
 // -- end-to-end scatter protocol ---------------------------------------------
