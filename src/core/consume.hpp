@@ -425,13 +425,8 @@ auto build_array2(const IdxFlatIter<D, Src, Ext>& it) {
 /// chunk k+1 is still in flight. The submitting thread stays free to keep
 /// receiving; `drain()` joins everything before results are combined.
 ///
-/// Each submitted callable runs under a PoolScope for the consumer's pool,
-/// so nested localpar consumers inside it (reduce/histogram on a grant's
-/// slice) schedule onto the *same* pool the rank thread would have used —
-/// which is what keeps per-atom results bitwise identical whether a chunk
-/// ran inline or streamed. Submissions take the pool's boxed (heap) task
-/// path — one allocation per chunk, amortized by the network latency the
-/// chunk just paid.
+/// Submissions take the pool's boxed (heap) task path — one allocation per
+/// chunk, amortized by the network latency the chunk just paid.
 ///
 /// Not thread-safe: one receiving thread submits, many workers execute.
 class StreamingConsumer {
@@ -449,7 +444,6 @@ class StreamingConsumer {
   void submit(Fn fn) {
     submitted_ += 1;
     pool_.submit(group_, [this, fn = std::move(fn)]() mutable {
-      runtime::PoolScope scope(pool_);
       Stopwatch sw;
       fn();
       busy_ns_.fetch_add(static_cast<std::int64_t>(sw.seconds() * 1e9),

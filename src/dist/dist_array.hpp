@@ -26,7 +26,8 @@
 //
 // Wire format of one resident slice (after the id/version/range header):
 //   kind 0: inline payload (write_borrowable -> zero-copy eligible)
-//   kind 1: u64 stream checksum of the payload the receiver must hold.
+//   kind 1: u64 token, the serial::slice_checksum of the payload the
+//           receiver must hold.
 // The receiver checks the header before it sizes or resolves anything: a
 // reversed range, an element count whose byte size overflows, or an inline
 // length longer than the message aborts the decode.

@@ -102,7 +102,8 @@ auto scatter_chunks(net::Comm& comm, MakeIter&& make) {
   }
   if constexpr (kResident) {
     if (comm.residency_enabled()) {
-      net::ResidencyDecodeScope scope(comm, /*owner=*/0);
+      net::ResidencyDecodeScope scope(comm, /*owner=*/0,
+                                      sched::hash_blocks_on_pool);
       return core::localpar(comm.recv<It>(0, kTagTask));
     }
   }

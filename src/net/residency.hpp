@@ -6,23 +6,32 @@
 // Sender (root) side — ResidencyEncodeScope: while a task/grant payload is
 // serialized for destination r, each resident slice is looked up in the
 // deterministic model of r's cache. A model hit means r already holds the
-// exact (id, version, range) bytes, so the codec writes an 8-byte checksum
-// token ("resident grant") instead of the payload; a miss records the slice
-// in the model and falls back to the existing zero-copy inline path.
+// exact (id, version, range) bytes, so the codec writes an 8-byte token
+// ("resident grant": the slice's serial::slice_checksum) instead of the
+// payload; a miss records the slice and its token in the model and falls
+// back to the existing zero-copy inline path.
 //
 // Receiver side — ResidencyDecodeScope: an inline slice is stored into this
 // rank's cache for future rounds; a token is resolved from the cache after
-// checksum validation. Either way the decoded source shares the cache's
-// buffer, so a hit costs the checksum pass and nothing else. On a miss or a
-// validation failure the receiver repairs itself with a fetch round trip to
-// the owner (kTagResidentFetch / kTagResidentData), so a divergent cache
-// costs one extra round trip, never a wrong answer. The owner answers
-// fetches from inside its own blocking receives via the Comm service hook,
-// so a worker blocked on a fetch can never deadlock against a root blocked
-// in the enclosing collective.
+// validation: slice_checksum is recomputed over every cached byte and must
+// equal the token. Either way the decoded source shares the cache's buffer,
+// so a hit costs the checksum pass and nothing else. The pass runs outside
+// the Residency lock, through the BlockRunner the scope's caller supplies
+// (sched/ and dist/ pass one that hashes blocks on the rank's pool), so a
+// large hit is hashed on the node's idle workers without locking the rank's
+// other jobs out of the cache. On a miss or a validation failure the
+// receiver repairs itself with a fetch round trip to the owner
+// (kTagResidentFetch / kTagResidentData), so a divergent cache costs one
+// extra round trip, never a wrong answer; fetched bytes must match the token
+// too, or the decode aborts (the owner's bytes changed without a version
+// bump). The owner answers fetches from inside its own blocking receives
+// via the Comm service hook, so a worker blocked on a fetch can never
+// deadlock against a root blocked in the enclosing collective.
 
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "net/comm.hpp"
 #include "net/slice_cache.hpp"
@@ -83,8 +92,7 @@ class ResidencyEncodeScope final : public serial::ResidencyEncoder {
       }
       return e->checksum;
     }
-    const std::uint64_t ck = serial::checksum(payload);
-    model.insert_meta(key, payload.size(), ck);
+    model.insert_meta(key, payload.size(), serial::slice_checksum(payload));
     stats_->slices_inlined += 1;
     stats_->bytes_inlined += static_cast<std::int64_t>(payload.size());
     return std::nullopt;
@@ -99,42 +107,53 @@ class ResidencyEncodeScope final : public serial::ResidencyEncoder {
 };
 
 /// Installs this scope as the thread's residency decoder. `owner` is the
-/// rank fetched from on a miss (the scatter/grant root).
+/// rank fetched from on a miss (the scatter/grant root); `run` hashes the
+/// blocks of a slice checksum (empty: in order on this thread).
 class ResidencyDecodeScope final : public serial::ResidencyDecoder {
  public:
-  explicit ResidencyDecodeScope(Comm& comm, int owner = 0)
+  explicit ResidencyDecodeScope(Comm& comm, int owner = 0,
+                                serial::BlockRunner run = {})
       : comm_(&comm),
         res_(&comm.residency()),
         stats_(&comm.residency_stats()),
-        owner_(owner) {}
+        owner_(owner),
+        run_(std::move(run)) {}
 
   serial::SliceBuffer resolve(const serial::SliceKey& key,
                               std::uint64_t checksum,
                               std::size_t len) override {
+    // The Residency lock (shared across jobs under the service layer)
+    // covers the cache probe and the inserts only: validation and the fetch
+    // round trip run unlocked, so neither holds the rank's other jobs off
+    // their cache. The copied buffer stays alive even if another job
+    // evicts or replaces the entry meanwhile.
+    std::optional<SliceCache::Entry> cached;
     {
-      // Cache probe under the Residency lock (shared across jobs under the
-      // service layer) — released before the fetch round trip below, so a
-      // blocked fetch never holds the rank's other jobs off their cache.
       std::lock_guard<std::mutex> lock(res_->mu);
-      if (const auto* e = res_->cache.lookup(key)) {
-        if (e->bytes && e->len == len &&
-            serial::checksum({e->bytes.get(), len}) == checksum) {
-          stats_->cache_hits += 1;
-          return e->bytes;
-        }
-        // Cached but wrong (corruption, or a model-mode entry with no
-        // bytes): drop it and repair through the fetch path.
-        stats_->checksum_failures += 1;
-        res_->cache.erase(key);
-      } else {
-        stats_->cache_misses += 1;
-      }
-      stats_->fetches += 1;
+      if (const auto* e = res_->cache.lookup(key)) cached = *e;
     }
+    if (cached && cached->bytes && cached->len == len &&
+        serial::slice_checksum({cached->bytes.get(), len}, run_) == checksum) {
+      stats_->cache_hits += 1;
+      return cached->bytes;
+    }
+    if (cached) {
+      // Cached but wrong (corruption, or a model-mode entry with no bytes):
+      // drop it, unless another job already replaced it, and repair
+      // through the fetch path.
+      stats_->checksum_failures += 1;
+      std::lock_guard<std::mutex> lock(res_->mu);
+      res_->cache.erase(key, cached->bytes.get());
+    } else {
+      stats_->cache_misses += 1;
+    }
+    stats_->fetches += 1;
     comm_->send(owner_, kTagResidentFetch, SliceFetchRequest{key});
     Message m = comm_->recv_message(owner_, kTagResidentData);
     TRIOLET_CHECK(m.payload.size() == len,
                   "resident fetch returned wrong slice size");
+    TRIOLET_CHECK(serial::slice_checksum(m.payload, run_) == checksum,
+                  fetch_mismatch(key).c_str());
     std::lock_guard<std::mutex> lock(res_->mu);
     return res_->cache.insert(key, m.payload);
   }
@@ -150,7 +169,16 @@ class ResidencyDecodeScope final : public serial::ResidencyDecoder {
   Residency* res_;
   ResidencyStats* stats_;
   int owner_;
+  serial::BlockRunner run_;
   serial::ScopedResidencyDecoder install_{this};  // last: members ready first
+
+  static std::string fetch_mismatch(const serial::SliceKey& key) {
+    return "resident fetch of slice (id " + std::to_string(key.id) +
+           ", version " + std::to_string(key.version) + ", lo " +
+           std::to_string(key.lo) + ", hi " + std::to_string(key.hi) +
+           ") does not match its token: the owner's bytes changed without "
+           "a version bump";
+  }
 };
 
 }  // namespace triolet::net

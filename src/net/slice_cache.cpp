@@ -63,9 +63,11 @@ void SliceCache::evict_until_within_budget() {
   }
 }
 
-void SliceCache::erase(const serial::SliceKey& key) {
+void SliceCache::erase(const serial::SliceKey& key, const std::byte* bytes) {
   auto it = map_.find(key);
-  if (it != map_.end()) erase_node(it);
+  if (it != map_.end() && it->second.entry.bytes.get() == bytes) {
+    erase_node(it);
+  }
 }
 
 void SliceCache::erase_node(
@@ -76,10 +78,10 @@ void SliceCache::erase_node(
   map_.erase(it);
 }
 
-bool SliceCache::corrupt_one_for_testing() {
+bool SliceCache::corrupt_one_for_testing(std::size_t offset) {
   for (auto& [key, node] : map_) {
-    if (node.entry.bytes && node.entry.len != 0) {
-      node.entry.bytes.get()[0] ^= std::byte{0x01};
+    if (node.entry.bytes && node.entry.len > offset) {
+      node.entry.bytes.get()[offset] ^= std::byte{0x01};
       return true;
     }
   }

@@ -90,9 +90,9 @@ class SliceCache {
   struct Entry {
     std::size_t len = 0;
     /// Meaningful only for model entries (insert_meta): the token the
-    /// sender writes. Receiver entries leave it 0 — a cache hit recomputes
-    /// the checksum from `bytes`, which is what catches a slice corrupted
-    /// after insert.
+    /// sender writes, the slice's serial::slice_checksum. Receiver entries
+    /// leave it 0 — a cache hit recomputes slice_checksum from `bytes`,
+    /// which is what catches a slice corrupted after insert.
     std::uint64_t checksum = 0;
     /// The slice's `len` bytes (null in model mode). Decoded sources share
     /// this buffer instead of copying it, so retiring or evicting the entry
@@ -121,16 +121,20 @@ class SliceCache {
   void insert_meta(const serial::SliceKey& key, std::size_t len,
                    std::uint64_t checksum);
 
-  void erase(const serial::SliceKey& key);
+  /// Erases `key`'s entry only while it still holds `bytes` (null for a
+  /// model entry): an entry another job replaced after the caller read it
+  /// stays.
+  void erase(const serial::SliceKey& key, const std::byte* bytes);
 
   std::size_t bytes_held() const { return held_; }
   std::size_t entries() const { return map_.size(); }
   std::size_t budget() const { return budget_; }
 
-  /// Flips one byte of one cached payload in place, under any view that
-  /// shares it (tests: forces the checksum-mismatch fetch fallback).
-  /// Returns false when no entry with stored bytes exists.
-  bool corrupt_one_for_testing();
+  /// Flips the byte at `offset` of one cached payload longer than `offset`,
+  /// in place, under any view that shares it (tests: forces the
+  /// checksum-mismatch fetch fallback). Returns false when no such entry
+  /// exists.
+  bool corrupt_one_for_testing(std::size_t offset = 0);
 
  private:
   struct Node {

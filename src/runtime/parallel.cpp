@@ -16,7 +16,9 @@ thread_local ThreadPool* tl_current_pool = nullptr;
 }  // namespace
 
 ThreadPool& current_pool() {
-  return tl_current_pool != nullptr ? *tl_current_pool : ThreadPool::global();
+  if (tl_current_pool != nullptr) return *tl_current_pool;
+  if (ThreadPool* own = ThreadPool::current()) return *own;
+  return ThreadPool::global();
 }
 
 PoolScope::PoolScope(ThreadPool& pool) : prev_(tl_current_pool) {

@@ -39,13 +39,16 @@ using index_t = std::int64_t;
 index_t auto_grain(index_t n, int nthreads);
 
 /// The pool implicit consumers (core/consume.hpp) schedule on: a
-/// thread-local override if a PoolScope is active, else the global pool.
+/// thread-local override if a PoolScope is active, else the pool the calling
+/// thread is a worker of, else the global pool.
 ///
 /// The override exists for the two-level distributed runtime: each simulated
 /// cluster node (SPMD rank thread) owns its own pool, mirroring "cores of
 /// one node" and keeping per-thread private accumulators disjoint between
 /// nodes (a shared pool would let one node's waiting thread steal another
-/// node's tasks).
+/// node's tasks). A worker needs no override: nested loops in a task it runs
+/// stay on its own pool, so they neither escape the node nor share another
+/// pool's PerThread slots.
 ThreadPool& current_pool();
 
 /// RAII: makes `pool` the calling thread's current_pool().

@@ -121,6 +121,10 @@ class ThreadPool {
   /// are not workers of any pool.
   static int current_worker();
 
+  /// The pool the calling thread is a worker of, or nullptr for threads
+  /// that are not workers of any pool.
+  static ThreadPool* current();
+
   /// Enqueues `fn` into `group`. Callable from workers and external
   /// threads. If `Fn` fits the slot's inline buffer and is trivially
   /// copyable + destructible it is stored inline (no allocation); otherwise

@@ -3,15 +3,18 @@
 // Chase–Lev work-stealing deque.
 //
 // Memory ordering follows Lê, Pop, Cohen, Zappa Nardelli, "Correct and
-// Efficient Work-Stealing for Weak Memory Models" (PPoPP'13). The owner
-// pushes/pops at the bottom; thieves steal from the top. Elements must be
-// trivially copyable; they are stored as arrays of relaxed atomic words so
-// that the racy slot reads the algorithm permits (a thief reading a slot
-// the owner is about to overwrite, discarded when the top CAS fails) are
-// data-race-free under the C++ memory model and clean under TSan. Values
-// wider than one word can tear across words during such a race, but a torn
-// read is only ever observed by a thief whose claiming CAS fails, so the
-// torn value is discarded.
+// Efficient Work-Stealing for Weak Memory Models" (PPoPP'13), except that
+// the owner publishes `bottom` with release stores instead of a release
+// fence before relaxed stores: a thief's acquire load of `bottom` then
+// synchronizes with the stores TSan can see (it does not model fences).
+// The owner pushes/pops at the bottom; thieves steal from the top.
+// Elements must be trivially copyable; they are stored as arrays of relaxed
+// atomic words so that the racy slot reads the algorithm permits (a thief
+// reading a slot the owner is about to overwrite, discarded when the top
+// CAS fails) are data-race-free under the C++ memory model and clean under
+// TSan. Values wider than one word can tear across words during such a
+// race, but a torn read is only ever observed by a thief whose claiming CAS
+// fails, so the torn value is discarded.
 //
 // Buffer growth retires old buffers instead of freeing them immediately: a
 // thief holding a stale buffer pointer still reads valid slots for the
@@ -57,15 +60,14 @@ class WsDeque {
       buf = grow(buf, t, b);
     }
     buf->put(b, item);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only. Returns false if the deque observed empty.
   bool pop(T& out) {
     std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
+    bottom_.store(b, std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     std::int64_t t = top_.load(std::memory_order_relaxed);
     bool ok = false;
@@ -78,10 +80,10 @@ class WsDeque {
                                           std::memory_order_relaxed)) {
           ok = false;
         }
-        bottom_.store(b + 1, std::memory_order_relaxed);
+        bottom_.store(b + 1, std::memory_order_release);
       }
     } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
+      bottom_.store(b + 1, std::memory_order_release);
     }
     return ok;
   }
@@ -119,11 +121,13 @@ class WsDeque {
   void reclaim_retired() {
     for (Buffer* b : retired_) delete b;
     retired_.clear();
+    retired_count_.store(0, std::memory_order_relaxed);
   }
 
-  /// Number of buffers retired by growth and not yet reclaimed.
+  /// Number of buffers retired by growth and not yet reclaimed. Any thread
+  /// may read it (diagnostics); only the owner changes it.
   std::int64_t retired_count() const {
-    return static_cast<std::int64_t>(retired_.size());
+    return retired_count_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -173,6 +177,8 @@ class WsDeque {
     for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
     buffer_.store(bigger, std::memory_order_release);
     retired_.push_back(old);  // owner-only structure
+    retired_count_.store(static_cast<std::int64_t>(retired_.size()),
+                         std::memory_order_relaxed);
     return bigger;
   }
 
@@ -180,6 +186,7 @@ class WsDeque {
   std::atomic<std::int64_t> bottom_;
   std::atomic<Buffer*> buffer_;
   std::vector<Buffer*> retired_;
+  std::atomic<std::int64_t> retired_count_{0};  // == retired_.size()
 };
 
 }  // namespace triolet::runtime

@@ -34,6 +34,7 @@
 // overhead (docs/INTERNALS.md "Distributed scheduling").
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -51,6 +52,20 @@
 #include "support/timing.hpp"
 
 namespace triolet::sched {
+
+/// The block runner residency decode scopes validate hits with (see
+/// net::ResidencyDecodeScope): parallel_for over the slice's checksum blocks
+/// on this thread's current_pool(), one block per chunk. Lazy splitting
+/// hands blocks to the node's idle workers and leaves the whole pass on the
+/// calling thread when the pool is busy.
+inline void hash_blocks_on_pool(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
+  runtime::parallel_for(runtime::current_pool(), 0, static_cast<index_t>(n), 1,
+                        [&body](index_t lo, index_t hi) {
+                          body(static_cast<std::size_t>(lo),
+                               static_cast<std::size_t>(hi));
+                        });
+}
 
 /// One scheduler message from root to a worker: either a run of atoms
 /// [atom_lo, atom_lo + atom_n) with the matching iterator slice, or the
@@ -175,7 +190,7 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     // inline slice is stored for future rounds, a token resolves from the
     // cache (fetching from the root on miss/corruption).
     std::optional<net::ResidencyDecodeScope> rscope;
-    if (resident) rscope.emplace(comm, /*owner=*/0);
+    if (resident) rscope.emplace(comm, /*owner=*/0, hash_blocks_on_pool);
     if (opts.policy == SchedulePolicy::kStatic) {
       // Static: exactly one pre-assigned grant, no requests. Received
       // through a handle so the serialized payload size is observable for

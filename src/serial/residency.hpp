@@ -25,6 +25,9 @@
 //   * `ResidentProviderRegistry` maps a source id back to its live bytes so
 //     a receiver whose cache misses (or fails validation) can fetch the
 //     authoritative slice from the owner.
+//   * The token both ends compute is `slice_checksum` (serial/checksum.hpp):
+//     XXH64 over the XXH64 digests of the slice's 256 KiB blocks, so a
+//     receiver can hash the blocks of a large hit on several threads.
 //
 // The net:: layer implements the encoder/decoder against its per-rank
 // SliceCache (net/slice_cache.hpp, net/residency.hpp); dist:: supplies the
@@ -68,9 +71,9 @@ struct SliceKeyHash {
 };
 
 /// Sender-side hook. A codec about to serialize a resident slice offers the
-/// key and the raw payload; a non-nullopt return is the payload checksum the
-/// receiver will validate against, and the codec writes a token instead of
-/// the bytes.
+/// key and the raw payload; a non-nullopt return is the token — the
+/// payload's slice_checksum (serial/checksum.hpp), which the receiver will
+/// validate against — and the codec writes it instead of the bytes.
 class ResidencyEncoder {
  public:
   virtual ~ResidencyEncoder() = default;
@@ -98,8 +101,9 @@ inline std::shared_ptr<std::byte> make_slice_buffer(
 /// Receiver-side hook. Both calls return the slice's bytes as the
 /// receiver cache's own buffer:
 ///   * `resolve` serves a token. A cached slice is used only after its
-///     checksum, recomputed over every byte, equals the token; a miss or a
-///     mismatch fetches the slice from its owner.
+///     slice_checksum, recomputed over every byte, equals the token; a miss
+///     or a mismatch fetches the slice from its owner, and fetched bytes
+///     must equal the token too.
 ///   * `store` copies an inline-received slice into the cache for future
 ///     rounds.
 class ResidencyDecoder {

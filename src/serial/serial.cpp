@@ -155,4 +155,24 @@ std::uint64_t checksum(std::span<const std::byte> bytes) {
   return c.value();
 }
 
+std::uint64_t slice_checksum(std::span<const std::byte> bytes,
+                             const BlockRunner& run) {
+  const std::size_t n =
+      (bytes.size() + kSliceBlockBytes - 1) / kSliceBlockBytes;
+  std::vector<std::uint64_t> digests(n);
+  auto hash_blocks = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      digests[b] = checksum(bytes.subspan(
+          b * kSliceBlockBytes,
+          std::min(kSliceBlockBytes, bytes.size() - b * kSliceBlockBytes)));
+    }
+  };
+  if (run && n > 1) {
+    run(n, hash_blocks);
+  } else {
+    hash_blocks(0, n);
+  }
+  return checksum(std::as_bytes(std::span<const std::uint64_t>(digests)));
+}
+
 }  // namespace triolet::serial

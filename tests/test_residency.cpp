@@ -3,8 +3,10 @@
 // itself (LRU order, byte budgets, version retirement, sender-model
 // equivalence), decoded sources sharing the cache's buffer, the rejection
 // of malformed resident headers, the token scatter protocol end to end on
-// rank threads, the checksum-mismatch fetch fallback, and the kOrdered
-// bitwise-identity guarantee residency must preserve.
+// rank threads, the checksum-mismatch fetch fallback, multi-block slices
+// validated on the node's pool, the check of fetched bytes against their
+// token, and the kOrdered bitwise-identity guarantee residency must
+// preserve.
 
 #include <gtest/gtest.h>
 
@@ -461,6 +463,110 @@ TEST(Residency, TinyBudgetEvictsThenReinlines) {
   EXPECT_EQ(rs.cache_hits, 1);
   EXPECT_EQ(rs.evictions, 2);
   EXPECT_EQ(rs.fetches, 0);  // model mirrored both evictions exactly
+}
+
+// -- multi-block slices: hits validated on the node's pool --------------------
+
+// 2 ranks over 2 * kBlockSliceElems doubles: each rank's slice is 3 blocks
+// plus a short fourth, so a hit splits its checksum blocks over the pool.
+constexpr index_t kBlockSliceElems =
+    3 * static_cast<index_t>(serial::kSliceBlockBytes / sizeof(double)) + 5;
+
+TEST(ResidencyBlocks, WarmMultiBlockSliceIsAHitOnTheNodePool) {
+  auto xs = random_array(2 * kBlockSliceElems, 26);
+  const double expect = sequential_sum(xs);
+  DistArray<double> d{Array1<double>(xs)};
+  BudgetGuard guard(std::size_t{64} << 20);
+
+  double r1 = 0, r2 = 0;
+  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
+    NodeRuntime node(2);
+    auto make = [&] { return from_resident(d); };
+    double a = sum(comm, make);
+    double b = sum(comm, make);
+    if (comm.rank() == 0) {
+      r1 = a;
+      r2 = b;
+    }
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_NEAR(r1, expect, 1e-9 * std::abs(expect));
+  EXPECT_EQ(r1, r2);
+
+  const auto& rs = res.total_stats.residency;
+  EXPECT_EQ(rs.slices_inlined, 1);
+  EXPECT_EQ(rs.tokens_sent, 1);
+  EXPECT_EQ(rs.cache_hits, 1);
+  EXPECT_EQ(rs.cache_misses, 0);
+  EXPECT_EQ(rs.checksum_failures, 0);
+  EXPECT_EQ(rs.fetches, 0);
+}
+
+TEST(ResidencyBlocks, CorruptByteInTheLastBlockFallsBackToFetch) {
+  auto xs = random_array(2 * kBlockSliceElems, 27);
+  const double expect = sequential_sum(xs);
+  DistArray<double> d{Array1<double>(xs)};
+  BudgetGuard guard(std::size_t{64} << 20);
+  // Three bytes before the end: inside the short fourth block.
+  const std::size_t offset = kBlockSliceElems * sizeof(double) - 3;
+  ASSERT_GE(offset, 3 * serial::kSliceBlockBytes);
+
+  double r1 = 0, r2 = 0;
+  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
+    NodeRuntime node(2);
+    auto make = [&] { return from_resident(d); };
+    double a = sum(comm, make);
+    if (comm.rank() == 1) {
+      EXPECT_TRUE(comm.residency().cache.corrupt_one_for_testing(offset));
+    }
+    double b = sum(comm, make);
+    if (comm.rank() == 0) {
+      r1 = a;
+      r2 = b;
+    }
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_NEAR(r2, expect, 1e-9 * std::abs(expect));
+  EXPECT_EQ(r1, r2);  // the fetched slice holds the owner's values
+
+  const auto& rs = res.total_stats.residency;
+  EXPECT_EQ(rs.tokens_sent, 1);
+  EXPECT_EQ(rs.checksum_failures, 1);
+  EXPECT_EQ(rs.fetches, 1);
+  EXPECT_EQ(rs.cache_hits, 0);
+}
+
+TEST(ResidencyFetchDeathTest, FetchedSliceThatMissesItsTokenDies) {
+  // The receiver's cache is empty, so a token fetches the slice from its
+  // owner; a token that matches no bytes means the owner's bytes changed
+  // without a version bump, and the fetch must not be trusted.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DistArray<double> d{random_array(1000, 28)};
+  const auto src = d.source();
+  serial::ByteWriter w;
+  w.write_pod(src.id);
+  w.write_pod(src.version);
+  w.write_pod(src.lo);
+  w.write_pod(src.hi);
+  w.write_pod<std::uint8_t>(1);  // token
+  w.write_pod<std::uint64_t>(serial::slice_checksum(src.payload_bytes()) ^ 1);
+  const auto header = w.take();
+  constexpr int kTagDone = 7;
+  EXPECT_DEATH(
+      {
+        (void)net::Cluster::run(2, [&](net::Comm& comm) {
+          if (comm.rank() == 0) {
+            // Answers the fetch from inside this blocking receive.
+            net::install_residency_fetch_service(comm);
+            (void)comm.recv<int>(1, kTagDone);
+          } else {
+            net::ResidencyDecodeScope dec(comm, /*owner=*/0);
+            (void)serial::from_bytes<ResidentSource<double>>(header);
+            comm.send(0, kTagDone, 1);
+          }
+        });
+      },
+      "version 1, lo 0, hi 1000\\) does not match its token");
 }
 
 // -- scheduler integration ---------------------------------------------------

@@ -1,10 +1,12 @@
 // Tests for the work-stealing runtime: deque semantics (including a
 // multithreaded steal hammer), pool fork-join, parallel_for coverage,
-// parallel_reduce determinism, nesting, and per-thread storage.
+// parallel_reduce determinism, nesting, per-thread storage, and which pool
+// current_pool() resolves to.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -434,6 +436,26 @@ TEST(ThreadPool, ParkAndTargetedWakeCountersAdvance) {
   EXPECT_EQ(ran.load(), 1);
   EXPECT_GT(pool.stats().wakes, 0);
   EXPECT_GT(pool.stats().steal_attempts, 0);
+}
+
+// -- current_pool() ------------------------------------------------------------
+
+TEST(CurrentPool, WorkerWithoutScopeResolvesToItsOwnPool) {
+  // A task on a worker of a non-global pool, with no PoolScope anywhere:
+  // loops nested inside it must stay on that pool instead of escaping to
+  // the process-wide one.
+  ThreadPool pool(2);
+  std::promise<std::pair<int, ThreadPool*>> seen;
+  TaskGroup g;
+  pool.submit(g, [&] {
+    seen.set_value({ThreadPool::current_worker(), &current_pool()});
+  });
+  // Blocking on the future rather than helping in wait() keeps this thread
+  // from running the task itself.
+  const auto [worker, resolved] = seen.get_future().get();
+  pool.wait(g);
+  EXPECT_GE(worker, 0);
+  EXPECT_EQ(resolved, &pool);
 }
 
 // -- PerThread under nesting and concurrent pool scopes ------------------------

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -17,6 +19,7 @@
 #include "dist/dist_array.hpp"
 #include "dist/segmented.hpp"
 #include "dist/views.hpp"
+#include "runtime/parallel.hpp"
 #include "serial/checksum.hpp"
 #include "serial/serialize.hpp"
 #include "support/rng.hpp"
@@ -344,6 +347,55 @@ TEST(Checksum, SwappingWordsInDifferentLanesChangesTheValue) {
       std::swap(words[a], words[b]);
     }
   }
+}
+
+/// slice_checksum by hand: the XXH64 digest of every kSliceBlockBytes
+/// block, then XXH64 over the digests.
+std::uint64_t slice_checksum_by_hand(std::span<const std::byte> bytes) {
+  std::vector<std::uint64_t> digests;
+  for (std::size_t at = 0; at < bytes.size(); at += kSliceBlockBytes) {
+    digests.push_back(checksum(
+        bytes.subspan(at, std::min(kSliceBlockBytes, bytes.size() - at))));
+  }
+  return checksum(std::as_bytes(std::span<const std::uint64_t>(digests)));
+}
+
+TEST(SliceChecksum, EqualsXxh64OverBlockDigests) {
+  constexpr std::size_t kB = kSliceBlockBytes;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kB - 1, kB,
+                              kB + 1, 3 * kB + 5}) {
+    const auto bytes = pattern_bytes(n);
+    EXPECT_EQ(slice_checksum(bytes), slice_checksum_by_hand(bytes))
+        << "n=" << n;
+  }
+}
+
+TEST(SliceChecksum, PooledRunnerEqualsInOrderRunner) {
+  runtime::ThreadPool pool(3);
+  std::atomic<int> pooled_calls{0};
+  const BlockRunner pooled = [&](std::size_t n, const auto& body) {
+    runtime::parallel_for(pool, 0, static_cast<runtime::index_t>(n), 1,
+                          [&](runtime::index_t lo, runtime::index_t hi) {
+                            pooled_calls.fetch_add(1);
+                            body(static_cast<std::size_t>(lo),
+                                 static_cast<std::size_t>(hi));
+                          });
+  };
+  const BlockRunner in_order = [](std::size_t n, const auto& body) {
+    body(0, n);
+  };
+  const BlockRunner reversed = [](std::size_t n, const auto& body) {
+    for (std::size_t b = n; b-- > 0;) body(b, b + 1);
+  };
+  for (const std::size_t n : {kSliceBlockBytes + 1, 3 * kSliceBlockBytes + 5,
+                              10 * kSliceBlockBytes}) {
+    const auto bytes = pattern_bytes(n);
+    const std::uint64_t want = slice_checksum(bytes, in_order);
+    EXPECT_EQ(slice_checksum(bytes, pooled), want) << "n=" << n;
+    EXPECT_EQ(slice_checksum(bytes, reversed), want) << "n=" << n;
+    EXPECT_EQ(slice_checksum(bytes), want) << "n=" << n;
+  }
+  EXPECT_GT(pooled_calls.load(), 0);
 }
 
 TEST(Checksum, StreamChecksumCoversBorrowedSegments) {
