@@ -19,7 +19,7 @@
 // passes the view counters to the ResidencyEncodeScope.
 //
 // These are thin sugar by design — views compose with every existing
-// skeleton (map_with contexts, scheduled map_reduce, service jobs) because
+// skeleton (map_with contexts, scheduled reductions, service jobs) because
 // they *are* core iterators; there is no separate view evaluator to keep
 // consistent.
 

@@ -2,16 +2,15 @@
 
 // Work-distribution policies for the distributed skeletons.
 //
-// The dist layer's original (and still default) behavior is one static
-// split_blocks at the root: perfect for uniform loops, pathological for the
-// skewed iteration spaces the hybrid iterator exists to keep partitionable
-// (filter / concat_map, paper §3.2). SchedulePolicy makes the mapping of
-// chunks to nodes a knob, decoupled from what is computed — the
-// data-vs-work-distribution separation argued by Mapple and Distributed
-// Ranges (PAPERS.md):
+// SchedulePolicy makes the mapping of chunks to nodes a knob, decoupled
+// from what is computed — the data-vs-work-distribution separation argued
+// by Mapple and Distributed Ranges (PAPERS.md). The default, kStatic, is the
+// paper's `par` schedule: one block per node, perfect for uniform loops but
+// pathological for the skewed iteration spaces the hybrid iterator exists
+// to keep partitionable (filter / concat_map, paper §3.2), which the
+// demand-driven policies balance:
 //
-//   kStatic   one contiguous block per rank, assigned up front (no protocol
-//             traffic; the classic split_blocks schedule)
+//   kStatic   one grant per rank, assigned up front (no protocol traffic)
 //   kGuided   guided self-scheduling: the root grants runs of chunks whose
 //             size decays geometrically with the remaining work, down to a
 //             floor of one atom — big grants amortize protocol latency
@@ -23,7 +22,8 @@
 // decide how many consecutive atoms a grant carries and who runs them. That
 // invariant is what lets CombineMode::kOrdered produce bitwise identical
 // results under every policy: per-atom partials are combined in atom order,
-// which is independent of the rank that computed them.
+// which is independent of the rank that computed them. (kStatic's block
+// split, below, applies only where nothing sees atoms.)
 
 #include <algorithm>
 #include <cstdint>
@@ -43,6 +43,15 @@ class AutoTuner;
 /// the candidate configuration the model predicts fastest — re-picked each
 /// round as measurements refresh. kAuto never reaches the protocol itself:
 /// run_chunks resolves it to one of the three concrete policies per round.
+///
+/// Which block kStatic gives rank r of p follows from options the caller
+/// already sets. With the default kTree combine and grain 0, no consumer
+/// sees atom boundaries, so rank r gets core::split_blocks(dom, p)[r]: the
+/// paper's node blocks, a near-square grid for a Dim2 domain (the 2D sgemm
+/// decomposition, §2). With kOrdered or an explicit grain, rank r gets the
+/// atom band [natoms·r/p, natoms·(r+1)/p) that per-atom partials need. kAuto
+/// never reaches the block split: its rounds run kDynamic or a pick with a
+/// resolved grain.
 enum class SchedulePolicy { kStatic, kGuided, kDynamic, kAuto };
 
 /// How per-atom partial results are combined into the final answer.

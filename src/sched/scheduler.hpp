@@ -1,33 +1,36 @@
 #pragma once
 
-// Demand-driven distributed chunk scheduler (the "sched" subsystem).
+// The distributed engine under every dist:: skeleton (paper §2, §3.4, §3.5).
 //
-// The static split of dist/skeletons.hpp assigns one contiguous block per
-// rank up front — ideal when iterations cost the same, idle-heavy when the
-// iteration space is skewed (tpacf's triangular loops, filtered domains).
-// This layer replaces the *mapping* of work to ranks with a request/grant
-// protocol while reusing every other piece of the two-level machinery:
+// run_chunks runs SPMD under a net::Cluster, one rank per cluster node. Only
+// the root calls the caller's `make`; the other ranks receive their work as
+// serialized iterator slices, each owning just the sub-arrays its
+// sub-domain touches. The SchedulePolicy (policy.hpp) decides how the
+// domain maps to ranks:
 //
-//   1. The root subdivides the iterator's domain into a fixed sequence of
-//      atomic chunks ("atoms": `grain` outer-axis units, core::outer_slice).
-//   2. Worker ranks ask for work by sending a request on the invocation
-//      epoch's request tag (net::sched_request_tag; the pair of protocol
-//      tags rotates per run_chunks call so back-to-back scheduled skeletons
-//      cannot alias across rounds); the root's service loop receives requests
-//      with kAnySource and answers each with a Grant: a run of consecutive
-//      atoms, sliced and serialized exactly as scatter_chunks slices static
-//      chunks (sub-arrays only). Run length is the policy knob — everything
-//      per rank (kStatic), geometrically decaying runs (kGuided), or one
-//      atom (kDynamic).
+//   1. The root cuts the domain. kStatic with the default combine and grain
+//      cuts one core::split_blocks block per rank: the paper's node blocks,
+//      a near-square grid for a 2D domain. Every other configuration cuts a
+//      fixed sequence of atomic chunks ("atoms": `grain` outer-axis units,
+//      core::outer_slice).
+//   2. kStatic pushes one Grant per rank up front. Under kGuided and
+//      kDynamic, worker ranks ask for work by sending a request on the
+//      invocation epoch's request tag (net::sched_request_tag; the pair of
+//      protocol tags rotates per run_chunks call so back-to-back scheduled
+//      skeletons cannot alias across rounds); the root's service loop
+//      receives requests with kAnySource and answers each with a Grant: a
+//      run of consecutive atoms, geometrically decaying (kGuided) or one
+//      atom long (kDynamic).
 //   3. The root interleaves serving with its own execution: while requests
 //      are pending it serves; otherwise it self-issues one atom at a time,
 //      staying responsive (a grant is never delayed by more than one atom
 //      of root compute).
-//   4. When the queue drains, each worker's next request is answered with a
-//      `done` grant; workers then enter the combine step. Partial results
-//      combine along the existing binomial reduce tree (CombineMode::kTree)
-//      or by an atom-ordered gather + left fold (CombineMode::kOrdered,
-//      bitwise reproducible across policies — see policy.hpp).
+//   4. Every rank runs its grants on its node's threads (the kLocal hint).
+//      When the queue drains, each worker's next request is answered with a
+//      `done` grant. Partial results then combine along Comm::reduce's
+//      binomial tree (CombineMode::kTree) or by an atom-ordered gather +
+//      left fold (CombineMode::kOrdered, bitwise reproducible across
+//      policies — see policy.hpp).
 //
 // Protocol traffic, grant counts, and per-rank busy/idle time are recorded
 // in CommStats::sched so benchmarks can report imbalance and control
@@ -71,7 +74,11 @@ inline void hash_blocks_on_pool(
 /// [atom_lo, atom_lo + atom_n) with the matching iterator slice, or the
 /// `done` dismissal that ends the worker's request loop. `grain` ships with
 /// every grant because only the root resolves it (workers never see the
-/// global extent).
+/// global extent). kStatic's block split ships grain 0: `task` is then the
+/// rank's whole split_blocks block, and [atom_lo, atom_lo + atom_n) the
+/// rank's even share of the outer units, which its item counters charge (the
+/// blocks of a 2D grid's block-row share their rows, so they cannot each
+/// charge them).
 template <typename It>
 struct Grant {
   std::uint8_t done = 0;
@@ -83,18 +90,29 @@ struct Grant {
 
 namespace detail {
 
-/// Executes `run` bookkeeping: calls on_chunk and charges busy time /
-/// chunk / item counters to this rank's scheduler stats.
+/// Outer units a grant charges to the item counters and the fair-share
+/// gate: its run's outer extent, or for a block grant (grain 0) the rank's
+/// share in atom_n. Summed over one run_chunks call they equal the domain's
+/// extent.
+inline index_t grant_items(index_t grain, index_t atom_n, index_t run_extent) {
+  return grain > 0 ? run_extent : atom_n;
+}
+
+/// Runs one grant on this rank's threads: hints its task kLocal, calls
+/// on_chunk, and charges busy time / chunk / item counters to this rank's
+/// scheduler stats. The grant comes by value so the hint copies no slice
+/// data. An empty band of atoms is skipped; a block always runs.
 template <typename It, typename OnChunk>
-void execute_run(net::Comm& comm, const It& run, index_t atom_lo,
-                 index_t atom_n, index_t grain, OnChunk&& on_chunk) {
-  if (atom_n <= 0) return;
+void execute_run(net::Comm& comm, Grant<It> g, OnChunk&& on_chunk) {
+  if (g.grain > 0 && g.atom_n <= 0) return;
+  g.task.hint = core::ParHint::kLocal;
   Stopwatch sw;
-  on_chunk(run, atom_lo, atom_n, grain);
+  on_chunk(g.task, g.atom_lo, g.atom_n, g.grain);
   auto& s = comm.sched_stats();
   s.busy_seconds += sw.seconds();
   s.chunks_executed += 1;
-  s.items_executed += core::outer_extent(run.domain());
+  s.items_executed +=
+      grant_items(g.grain, g.atom_n, core::outer_extent(g.task.domain()));
 }
 
 /// Streamed counterpart of execute_run: hands the grant to the pool via
@@ -104,7 +122,7 @@ void execute_run(net::Comm& comm, const It& run, index_t atom_lo,
 template <typename It, typename OnChunk>
 void stream_run(net::Comm& comm, core::StreamingConsumer& stream, Grant<It> g,
                 const OnChunk& on_chunk) {
-  if (g.atom_n <= 0) return;
+  g.task.hint = core::ParHint::kLocal;
   auto& s = comm.sched_stats();
   s.chunks_executed += 1;
   s.items_executed += core::outer_extent(g.task.domain());
@@ -139,10 +157,6 @@ class PoolDeltaScope {
   runtime::ThreadPool& pool_;
   runtime::PoolStats before_;
 };
-
-}  // namespace detail
-
-namespace detail {
 
 /// The scheduler body for one concrete policy (kStatic/kGuided/kDynamic).
 /// Factored out of run_chunks so the kAuto wrapper can re-enter with
@@ -194,15 +208,19 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     if (opts.policy == SchedulePolicy::kStatic) {
       // Static: exactly one pre-assigned grant, no requests. Received
       // through a handle so the serialized payload size is observable for
-      // the bytes-per-item calibration.
-      net::PendingRecv pending = comm.irecv(0, tag_grant);
-      Grant<It> g = pending.get<Grant<It>>();
+      // the bytes-per-item calibration; the handle, and the payload with it,
+      // is dropped before the grant runs.
+      Grant<It> g = [&] {
+        net::PendingRecv pending = comm.irecv(0, tag_grant);
+        Grant<It> got = pending.get<Grant<It>>();
+        sched.grant_payload_bytes +=
+            static_cast<std::int64_t>(pending.message().payload.size());
+        return got;
+      }();
       sched.grants_received += 1;
-      sched.grant_payload_bytes +=
-          static_cast<std::int64_t>(pending.message().payload.size());
-      sched.granted_items += core::outer_extent(g.task.domain());
-      detail::execute_run(comm, g.task, g.atom_lo, g.atom_n, g.grain,
-                          on_chunk);
+      sched.granted_items +=
+          grant_items(g.grain, g.atom_n, core::outer_extent(g.task.domain()));
+      detail::execute_run(comm, std::move(g), on_chunk);
       return;
     }
     // Demand-driven: request until dismissed. At most one request is ever
@@ -253,11 +271,9 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
         // flight while run k executes, hiding the service round trip
         // behind compute.
         next_grant = post_request();
-        detail::execute_run(comm, g.task, g.atom_lo, g.atom_n, g.grain,
-                            on_chunk);
+        detail::execute_run(comm, std::move(g), on_chunk);
       } else {
-        detail::execute_run(comm, g.task, g.atom_lo, g.atom_n, g.grain,
-                            on_chunk);
+        detail::execute_run(comm, std::move(g), on_chunk);
         next_grant = post_request();
       }
     }
@@ -322,22 +338,39 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
   };
 
   if (opts.policy == SchedulePolicy::kStatic) {
-    // The split_blocks schedule expressed in atoms: rank r gets atoms
-    // [natoms*r/p, natoms*(r+1)/p), pushed without any request traffic.
-    for (int r = 1; r < p; ++r) {
-      const index_t a = natoms * r / p;
-      const index_t b = natoms * (r + 1) / p;
+    // One grant per rank, pushed without any request traffic. Rank r gets
+    // its split_blocks block when nothing downstream sees atoms (the default
+    // kTree combine and grain), else its atom band [natoms*r/p,
+    // natoms*(r+1)/p); see SchedulePolicy::kStatic.
+    const bool blocks = opts.combine == CombineMode::kTree && opts.grain == 0;
+    std::vector<std::remove_cvref_t<decltype(dom)>> split;
+    if (blocks) split = core::split_blocks(dom, p);
+    // Rank r's gated grant. A block is credited with the rank's even share
+    // [extent*r/p, extent*(r+1)/p) of the outer units (see Grant).
+    auto static_grant = [&](int r) {
+      if (blocks) {
+        const index_t u0 = extent * r / p, u1 = extent * (r + 1) / p;
+        if (opts.gate) opts.gate->before_grant(u1 - u0);
+        return Grant<It>{0, u0, u1 - u0, 0,
+                         it.slice(split[static_cast<std::size_t>(r)])};
+      }
+      const index_t a = natoms * r / p, b = natoms * (r + 1) / p;
       gate_items(a, b);
+      return Grant<It>{0, a, b - a, grain, slice_run(a, b)};
+    };
+    for (int r = 1; r < p; ++r) {
       // Delivery of the pushed grants runs on the progress engine while the
-      // root executes its own block below.
-      send_grant(r, Grant<It>{0, a, b - a, grain, slice_run(a, b)});
+      // root executes its own grant below.
+      send_grant(r, static_grant(r));
       sched.grants_served += 1;
       sched.control_messages += 1;
       sched.control_bytes += kGrantHeaderBytes;
     }
-    const index_t b0 = natoms * 1 / p;
-    gate_items(0, b0);
-    detail::execute_run(comm, slice_run(0, b0), 0, b0, grain, on_chunk);
+    Grant<It> own = static_grant(0);
+    // Every grant is cut and owns its slice's data: drop the full iterator
+    // before computing (for sgemm it holds whole copies of A and B^T).
+    it = It{};
+    detail::execute_run(comm, std::move(own), on_chunk);
     return;
   }
 
@@ -397,8 +430,9 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       } else {
         // No demand right now: run one atom locally, then poll again.
         gate_items(next, next + 1);
-        detail::execute_run(comm, slice_run(next, next + 1), next, 1, grain,
-                            on_chunk);
+        detail::execute_run(
+            comm, Grant<It>{0, next, 1, grain, slice_run(next, next + 1)},
+            on_chunk);
         next += 1;
       }
     } else {
@@ -425,9 +459,10 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
 
 /// The scheduler core: runs `make()`'s iterator across all ranks under
 /// `opts`, invoking `on_chunk(run_iter, atom_lo, atom_n, grain)` on the
-/// rank that executes each granted run. `make` is called on rank 0 only
-/// (same contract as dist::scatter_chunks); `on_chunk` runs on every rank
-/// for its own grants. Collective: every rank must call it.
+/// rank that executes each granted run (a kStatic block arrives with grain
+/// 0; see Grant). `make` is called on rank 0 only, so non-root ranks never
+/// need the input data; `on_chunk` runs on every rank for its own grants,
+/// with the run hinted kLocal. Collective: every rank must call it.
 ///
 /// With opts.streaming (kGuided/kDynamic), grants are handed to the rank's
 /// current_pool() through a core::StreamingConsumer as they arrive, so
@@ -474,9 +509,7 @@ void run_chunks(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
 
 namespace detail {
 
-/// Elementwise-sum combine for partial histograms (mirrors
-/// dist::detail::sum_arrays; duplicated to keep sched free of a dist
-/// dependency — dist layers on sched, not the reverse).
+/// Elementwise sum of two partial histograms/grids.
 template <typename A>
 A sum_arrays(A a, const A& b) {
   TRIOLET_CHECK(a.size() == b.size(), "partial histogram size mismatch");
@@ -487,25 +520,50 @@ A sum_arrays(A a, const A& b) {
   return a;
 }
 
+/// The kTree combine of the reducing skeletons: runs `make()` under `opts`
+/// and folds one `partial(run)` per grant with `op`. Each rank folds its
+/// partials as they complete (ascending atom order unless opts.streaming),
+/// seeded with the first one, so a rank's lone kStatic partial enters the
+/// tree untouched; a rank without grants contributes `none()`. The rank
+/// results combine along Comm::reduce; rank 0 gets the result, other ranks
+/// a default value.
+template <typename MakeIter, typename None, typename Partial, typename Op>
+auto tree_reduce(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
+                 None none, Partial partial, Op op) {
+  using T = decltype(none());
+  // Streamed chunks run concurrently on pool workers: partials are computed
+  // outside the lock and only merged under it (uncontended otherwise).
+  std::mutex mu;
+  std::optional<T> acc;
+  run_chunks(comm, make, opts,
+             [&](const auto& run, index_t, index_t, index_t) {
+               T part = partial(run);
+               std::lock_guard<std::mutex> lock(mu);
+               acc = acc ? op(std::move(*acc), std::move(part))
+                         : std::move(part);
+             });
+  return comm.reduce(acc ? std::move(*acc) : none(), op, 0);
+}
+
 }  // namespace detail
 
-/// Demand-scheduled distributed reduction. `init` must be an identity of
-/// `op`. Rank 0 gets the result; other ranks a default T.
+/// Distributed reduction. `init` must be an identity of `op`. Rank 0 gets
+/// the result; other ranks a default T.
 ///
-/// kTree: each rank folds its grants in arrival order, per-rank partials
-/// combine along the binomial reduce tree (exact for associative +
-/// commutative ops; FP parenthesization follows the chunk assignment).
+/// kTree: per-rank partials combine along the binomial reduce tree (exact
+/// for associative + commutative ops; FP parenthesization follows the chunk
+/// assignment, and under streaming the completion order too).
 /// kOrdered: one partial per atom, gathered and left-folded in atom order —
 /// bitwise identical for all three policies and run-to-run (for a fixed
 /// per-node thread count), the scheduler analogue of reduce_ordered.
 template <typename MakeIter, typename T, typename Op>
-T map_reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
-             const SchedOptions& opts) {
-  // Every on_chunk below computes its partial outside the lock and only
-  // merges under it: with opts.streaming, chunks run concurrently on pool
-  // workers (the lock is uncontended on the non-streaming path).
-  std::mutex mu;
+T reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
+         const SchedOptions& opts = {}) {
   if (opts.combine == CombineMode::kOrdered) {
+    // Every on_chunk computes its partials outside the lock and only merges
+    // under it: with opts.streaming, chunks run concurrently on pool
+    // workers (the lock is uncontended on the non-streaming path).
+    std::mutex mu;
     std::vector<std::pair<index_t, T>> mine;
     run_chunks(comm, make, opts,
                [&](const auto& run, index_t atom_lo, index_t atom_n,
@@ -517,8 +575,7 @@ T map_reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
                  for (index_t j = 0; j < atom_n; ++j) {
                    const index_t u0 = std::min(j * grain, run_extent);
                    const index_t u1 = std::min((j + 1) * grain, run_extent);
-                   auto atom = core::localpar(
-                       run.slice(core::outer_slice(rdom, u0, u1)));
+                   auto atom = run.slice(core::outer_slice(rdom, u0, u1));
                    local.emplace_back(atom_lo + j,
                                       core::reduce(atom, init, op));
                  }
@@ -542,99 +599,115 @@ T map_reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
     }
     return acc;
   }
-  // kTree: per-grant partials keyed by first atom, folded in atom order
-  // before entering the reduce tree. A rank's grants always carry ascending
-  // atom_lo (the root issues atoms monotonically), so the sorted fold is
-  // exactly the old arrival-order fold — and makes the local combine
-  // independent of the completion order streaming introduces.
-  std::vector<std::pair<index_t, T>> partials;
-  run_chunks(comm, make, opts,
-             [&](const auto& run, index_t atom_lo, index_t, index_t) {
-               T part = core::reduce(core::localpar(run), init, op);
-               std::lock_guard<std::mutex> lock(mu);
-               partials.emplace_back(atom_lo, std::move(part));
-             });
-  std::sort(partials.begin(), partials.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  T acc = init;
-  for (auto& [lo, partial] : partials) {
-    acc = op(std::move(acc), std::move(partial));
-  }
-  return comm.reduce(acc, op, 0);
+  return detail::tree_reduce(
+      comm, make, opts, [&] { return init; },
+      [&](const auto& run) { return core::reduce(run, init, op); }, op);
 }
 
-/// Demand-scheduled distributed sum (rank 0 gets the result).
+/// Distributed sum (rank 0 gets the result).
 template <typename MakeIter>
-auto sum(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
+auto sum(net::Comm& comm, MakeIter&& make, const SchedOptions& opts = {}) {
   using T = typename std::remove_cvref_t<decltype(make())>::value_type;
-  return map_reduce(comm, make, T{},
-                    [](T a, const T& b) { return a + b; }, opts);
+  return sched::reduce(comm, make, T{},
+                       [](T a, const T& b) { return a + b; }, opts);
 }
 
-/// Demand-scheduled element count (after filtering / nesting).
+/// Distributed element count (after filtering / nesting).
 template <typename MakeIter>
-index_t count(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
-  // Integer addition commutes exactly, so streamed chunks may merge in any
-  // completion order; the atomic makes the concurrent adds safe.
-  std::atomic<index_t> acc{0};
-  run_chunks(comm, make, opts,
-             [&](const auto& run, index_t, index_t, index_t) {
-               acc.fetch_add(core::count(core::localpar(run)),
-                             std::memory_order_relaxed);
-             });
-  return comm.reduce(acc.load(), [](index_t a, index_t b) { return a + b; },
-                     0);
+index_t count(net::Comm& comm, MakeIter&& make,
+              const SchedOptions& opts = {}) {
+  return detail::tree_reduce(
+      comm, make, opts, [] { return index_t{0}; },
+      [](const auto& run) { return core::count(run); }, std::plus<index_t>{});
 }
 
-/// Demand-scheduled integer histogram: per-grant threaded partials
-/// accumulate into one per-rank histogram, combined along the reduce tree.
-/// Integer addition commutes exactly, so every policy returns the same
-/// histogram bit for bit.
+/// Distributed minimum (rank 0 gets the result; other ranks a default T).
+/// The optional partials carry "no elements" through the threads and the
+/// tree, so any rank's chunk may be empty; an empty iterator fails on rank 0.
 template <typename MakeIter>
-Array1<std::int64_t> histogram(net::Comm& comm, index_t nbins,
-                               MakeIter&& make, const SchedOptions& opts) {
-  // Each chunk's histogram is built outside the lock; only the elementwise
-  // merge (exact: integer adds commute) is serialized, so streamed chunks
-  // can accumulate in any completion order.
-  std::mutex mu;
-  Array1<std::int64_t> acc(nbins, 0);
-  run_chunks(comm, make, opts,
-             [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::histogram(nbins, core::localpar(run));
-               std::lock_guard<std::mutex> lock(mu);
-               acc = detail::sum_arrays(std::move(acc), part);
-             });
-  return comm.reduce(acc, detail::sum_arrays<Array1<std::int64_t>>, 0);
+auto minimum(net::Comm& comm, MakeIter&& make, const SchedOptions& opts = {}) {
+  using T = typename std::remove_cvref_t<decltype(make())>::value_type;
+  std::optional<T> best = detail::tree_reduce(
+      comm, make, opts, [] { return std::optional<T>{}; },
+      [](const auto& run) { return core::minimum_partial(run); },
+      [](std::optional<T> a, std::optional<T> b) {
+        if (!a) return b;
+        if (!b) return a;
+        return *b < *a ? b : a;
+      });
+  if (comm.rank() != 0) return T{};
+  TRIOLET_CHECK(best.has_value(), "minimum of an empty iterator");
+  return *best;
 }
 
-/// Demand-scheduled floating-point histogram (cutcp's grid pattern).
-/// Accumulation order follows the chunk assignment, so results match the
-/// static path to rounding, not bitwise.
+/// Distributed maximum (rank 0 gets the result; see minimum).
+template <typename MakeIter>
+auto maximum(net::Comm& comm, MakeIter&& make, const SchedOptions& opts = {}) {
+  using T = typename std::remove_cvref_t<decltype(make())>::value_type;
+  std::optional<T> best = detail::tree_reduce(
+      comm, make, opts, [] { return std::optional<T>{}; },
+      [](const auto& run) { return core::maximum_partial(run); },
+      [](std::optional<T> a, std::optional<T> b) {
+        if (!a) return b;
+        if (!b) return a;
+        return *a < *b ? b : a;
+      });
+  if (comm.rank() != 0) return T{};
+  TRIOLET_CHECK(best.has_value(), "maximum of an empty iterator");
+  return *best;
+}
+
+/// Distributed arithmetic mean (rank 0 gets the result; 0.0 when empty).
+template <typename MakeIter>
+double average(net::Comm& comm, MakeIter&& make,
+               const SchedOptions& opts = {}) {
+  using P = std::pair<double, index_t>;
+  const P total = detail::tree_reduce(
+      comm, make, opts, [] { return P{0.0, 0}; },
+      [](const auto& run) { return core::average_partial(run); },
+      [](P a, P b) { return P{a.first + b.first, a.second + b.second}; });
+  if (comm.rank() != 0 || total.second == 0) return 0.0;
+  return total.first / static_cast<double>(total.second);
+}
+
+/// Distributed integer histogram: one threaded histogram per grant ("a
+/// distributed reduction, which performs one threaded reduction per node,
+/// which sequentially builds one histogram per thread", §3.4), partials
+/// summed along the reduce tree. Integer addition commutes exactly, so
+/// every policy returns the same histogram bit for bit.
+template <typename MakeIter>
+Array1<std::int64_t> histogram(net::Comm& comm, index_t nbins, MakeIter&& make,
+                               const SchedOptions& opts = {}) {
+  return detail::tree_reduce(
+      comm, make, opts, [nbins] { return Array1<std::int64_t>(nbins, 0); },
+      [nbins](const auto& run) { return core::histogram(nbins, run); },
+      detail::sum_arrays<Array1<std::int64_t>>);
+}
+
+/// Distributed floating-point histogram (cutcp's pattern). The output-grid
+/// summation dominates cutcp's scaling (paper §4.5); summing partial grids
+/// pairwise along the binomial reduce tree caps the root's share at
+/// ceil(log2 P) grid receives + sums instead of P-1. Accumulation order
+/// follows the chunk assignment, so policies agree to rounding, not bitwise.
 template <typename F, typename MakeIter>
 Array1<F> float_histogram(net::Comm& comm, index_t ncells, MakeIter&& make,
-                          const SchedOptions& opts) {
-  // Merge order under streaming follows chunk completion, which adds one
-  // more source of rounding-level variation to the already order-dependent
-  // accumulation documented above.
-  std::mutex mu;
-  Array1<F> acc(ncells, F{0});
-  run_chunks(comm, make, opts,
-             [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::float_histogram<F>(ncells,
-                                                    core::localpar(run));
-               std::lock_guard<std::mutex> lock(mu);
-               acc = detail::sum_arrays(std::move(acc), part);
-             });
-  return comm.reduce(acc, detail::sum_arrays<Array1<F>>, 0);
+                          const SchedOptions& opts = {}) {
+  return detail::tree_reduce(
+      comm, make, opts, [ncells] { return Array1<F>(ncells, F{0}); },
+      [ncells](const auto& run) {
+        return core::float_histogram<F>(ncells, run);
+      },
+      detail::sum_arrays<Array1<F>>);
 }
 
-/// Demand-scheduled 1D materialization: every grant builds one contiguous
-/// base-offset-tagged part; the root block-copies all parts into place
-/// (same assembly as dist::build_array1, just many small parts instead of
-/// one per rank). Elementwise output, so results are identical under every
-/// policy.
+/// Distributed materialization of a 1D indexer: every grant builds one
+/// contiguous base-offset-tagged part with threads, the parts are gathered
+/// along the binomial tree, and the root block-copies each into place (one
+/// std::copy per part). Elementwise output, so results are identical under
+/// every policy.
 template <typename MakeIter>
-auto build_array1(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
+auto build_array1(net::Comm& comm, MakeIter&& make,
+                  const SchedOptions& opts = {}) {
   using It = std::remove_cvref_t<decltype(make())>;
   using V = typename It::value_type;
   // Part placement is positional (each part carries its base offset), so
@@ -644,7 +717,7 @@ auto build_array1(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
   std::vector<Array1<V>> mine;
   run_chunks(comm, make, opts,
              [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::build_array1(core::localpar(run));
+               auto part = core::build_array1(run);
                std::lock_guard<std::mutex> lock(mu);
                mine.push_back(std::move(part));
              });
@@ -669,13 +742,15 @@ auto build_array1(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
   return out;
 }
 
-/// Demand-scheduled 2D materialization. Grants are full-width row bands
-/// (outer_slice on Dim2), so every part is a rectangular Block2 the
-/// existing row-major assembly handles; unlike the static path's
-/// near-square split_blocks grid, the scheduler's decomposition is 1D over
-/// rows — the price of keeping the chunk queue a single sequence.
+/// Distributed materialization of a 2D indexer: every grant fills one
+/// rectangular Block2 with threads and the root assembles the full matrix.
+/// Under the default kStatic the blocks are the near-square split_blocks
+/// grid, so an outerproduct iterator is the paper's 2D block-distributed
+/// sgemm; atom grants are full-width row bands. The domain must be
+/// full-width.
 template <typename MakeIter>
-auto build_array2(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
+auto build_array2(net::Comm& comm, MakeIter&& make,
+                  const SchedOptions& opts = {}) {
   using It = std::remove_cvref_t<decltype(make())>;
   using V = typename It::value_type;
   // Positional assembly again: blocks carry their own rectangles.
@@ -683,7 +758,7 @@ auto build_array2(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
   std::vector<core::Block2<V>> mine;
   run_chunks(comm, make, opts,
              [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::build_block2(core::localpar(run));
+               auto part = core::build_block2(run);
                std::lock_guard<std::mutex> lock(mu);
                mine.push_back(std::move(part));
              });
@@ -705,6 +780,8 @@ auto build_array2(net::Comm& comm, MakeIter&& make, const SchedOptions& opts) {
   TRIOLET_CHECK(full.x0 == 0, "build_array2 needs a full-width 2D domain");
   Array2<V> out(full.y0, full.rows(), full.cols(),
                 std::vector<V>(static_cast<std::size_t>(full.size())));
+  // Blocks are row-major over their own domain: copy one contiguous row
+  // segment at a time instead of indexing element by element.
   for (const auto& b : blocks) {
     const index_t bw = b.dom.cols();
     if (bw == 0) continue;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "core/triolet.hpp"
 #include "dist/skeletons.hpp"
@@ -25,6 +27,23 @@ Array1<double> random_array(index_t n, std::uint64_t seed) {
   Array1<double> a(n);
   for (index_t i = 0; i < n; ++i) a[i] = rng.uniform(-1.0, 1.0);
   return a;
+}
+
+/// Every policy the skeletons accept; nullopt is the option-less call.
+const std::optional<sched::SchedulePolicy> kEveryPolicy[] = {
+    std::nullopt, sched::SchedulePolicy::kStatic,
+    sched::SchedulePolicy::kGuided, sched::SchedulePolicy::kDynamic,
+    sched::SchedulePolicy::kAuto};
+
+std::string policy_name(const std::optional<sched::SchedulePolicy>& policy) {
+  return policy ? sched::to_string(*policy) : "no options";
+}
+
+/// Calls `skeleton()` for the option-less call, else `skeleton(opts)`.
+template <typename Skeleton>
+auto under(const std::optional<sched::SchedulePolicy>& policy,
+           Skeleton&& skeleton) {
+  return policy ? skeleton(sched::SchedOptions{*policy}) : skeleton();
 }
 
 TEST(DistSum, MatchesSequentialAcrossNodeCounts) {
@@ -102,6 +121,67 @@ TEST(DistCount, FilteredCountMatches) {
   });
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(got, expect);
+}
+
+TEST(DistSum, UserTagsAroundASkeletonStayWithTheUser) {
+  // Skeleton traffic travels in reserved tag bands. User messages on small
+  // tags, posted in both directions before an option-less sum and received
+  // after it, neither feed the sum nor get consumed by it.
+  Array1<double> ones(1000, 1.0);
+  double got = 0;
+  std::vector<double> received(4, -1.0);
+  auto res = net::Cluster::run(2, [&](net::Comm& comm) {
+    NodeRuntime node(1);
+    const int peer = 1 - comm.rank();
+    for (int tag : {100, 101}) {
+      comm.send(peer, tag, 1000.0 * comm.rank() + tag);
+    }
+    const double r = sum(comm, [&] { return from_array(ones); });
+    if (comm.rank() == 0) got = r;
+    for (int k = 0; k < 2; ++k) {
+      received[static_cast<std::size_t>(2 * comm.rank() + k)] =
+          comm.recv<double>(peer, 100 + k);
+    }
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(got, 1000.0);
+  EXPECT_EQ(received, (std::vector<double>{1100.0, 1101.0, 100.0, 101.0}));
+}
+
+TEST(DistReduce, DefaultMatchesCommReduceOverSplitBlocksBitwise) {
+  // Mixed magnitudes expose any change of parenthesization in the low bits.
+  // Without options, and with SchedOptions{}, a reduction is one threaded
+  // partial per split_blocks block combined by Comm::reduce.
+  Xoshiro256 rng(17);
+  Array1<double> xs(5000);
+  for (index_t i = 0; i < xs.size(); ++i) {
+    xs[i] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 12.0));
+  }
+  auto plus = [](double a, double b) { return a + b; };
+  for (int nodes : {3, 5, 8}) {
+    double bare = 0, with_opts = 0, want = 0;
+    auto res = net::Cluster::run(nodes, [&](net::Comm& comm) {
+      NodeRuntime node(2);
+      auto make = [&] { return from_array(xs); };
+      const double a = reduce(comm, make, 0.0, plus);
+      const double b = reduce(comm, make, 0.0, plus, sched::SchedOptions{});
+      const Seq mine = core::split_blocks(Seq{0, xs.size()}, nodes)
+          [static_cast<std::size_t>(comm.rank())];
+      const double part =
+          core::reduce(core::localpar(from_array(xs).slice(mine)), 0.0, plus);
+      const double c = comm.reduce(part, plus, 0);
+      if (comm.rank() == 0) {
+        bare = a;
+        with_opts = b;
+        want = c;
+      }
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(0, std::memcmp(&bare, &want, sizeof(double)))
+        << nodes << " nodes: " << bare << " vs " << want;
+    EXPECT_EQ(0, std::memcmp(&with_opts, &want, sizeof(double)))
+        << nodes << " nodes, SchedOptions{}: " << with_opts << " vs " << want;
+  }
 }
 
 TEST(DistReduce, NonTrivialCombineFoldsDeterministically) {
@@ -263,35 +343,58 @@ TEST(DistMinMaxAvg, MatchSequentialConsumers) {
     ref_max = std::max(ref_max, xs[i]);
     ref_sum += xs[i];
   }
-  double got_min = 0, got_max = 0, got_avg = 0;
-  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    auto make = [&] { return core::par(from_array(xs)); };
-    double mn = minimum(comm, make);
-    double mx = maximum(comm, make);
-    double av = average(comm, make);
-    if (comm.rank() == 0) {
-      got_min = mn;
-      got_max = mx;
-      got_avg = av;
-    }
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_DOUBLE_EQ(got_min, ref_min);
-  EXPECT_DOUBLE_EQ(got_max, ref_max);
-  EXPECT_NEAR(got_avg, ref_sum / static_cast<double>(xs.size()), 1e-12);
+  for (const auto& policy : kEveryPolicy) {
+    double got_min = 0, got_max = 0, got_avg = 0;
+    auto res = net::Cluster::run(4, [&](net::Comm& comm) {
+      NodeRuntime node(2);
+      auto make = [&] { return core::par(from_array(xs)); };
+      double mn = under(policy, [&](auto... opts) {
+        return minimum(comm, make, opts...);
+      });
+      double mx = under(policy, [&](auto... opts) {
+        return maximum(comm, make, opts...);
+      });
+      double av = under(policy, [&](auto... opts) {
+        return average(comm, make, opts...);
+      });
+      if (comm.rank() == 0) {
+        got_min = mn;
+        got_max = mx;
+        got_avg = av;
+      }
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_DOUBLE_EQ(got_min, ref_min) << policy_name(policy);
+    EXPECT_DOUBLE_EQ(got_max, ref_max) << policy_name(policy);
+    EXPECT_NEAR(got_avg, ref_sum / static_cast<double>(xs.size()), 1e-12)
+        << policy_name(policy);
+  }
 }
 
 TEST(DistMinMaxAvg, MoreNodesThanElements) {
   Array1<double> xs(0, {3.0, 1.0});
-  double got = 0;
-  auto res = net::Cluster::run(6, [&](net::Comm& comm) {
-    NodeRuntime node(1);
-    double r = minimum(comm, [&] { return core::par(from_array(xs)); });
-    if (comm.rank() == 0) got = r;
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_DOUBLE_EQ(got, 1.0);
+  Array1<double> none(0);
+  // The clusters below run threads, so a death test re-runs the binary.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto& policy : kEveryPolicy) {
+    auto min_of = [&](const Array1<double>& a) {
+      double got = 0;
+      auto res = net::Cluster::run(6, [&](net::Comm& comm) {
+        NodeRuntime node(1);
+        auto make = [&] { return core::par(from_array(a)); };
+        double r = under(policy, [&](auto... opts) {
+          return minimum(comm, make, opts...);
+        });
+        if (comm.rank() == 0) got = r;
+      });
+      EXPECT_TRUE(res.ok) << res.error;
+      return got;
+    };
+    EXPECT_DOUBLE_EQ(min_of(xs), 1.0) << policy_name(policy);
+    // An empty iterator still fails on rank 0.
+    EXPECT_DEATH(min_of(none), "minimum of an empty iterator")
+        << policy_name(policy);
+  }
 }
 
 // Parameterized: the full pipeline at several node counts and shapes.

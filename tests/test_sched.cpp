@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "core/triolet.hpp"
+#include "dist/segmented.hpp"
 #include "dist/skeletons.hpp"
 #include "net/cluster.hpp"
 #include "net/tags.hpp"
@@ -412,6 +413,147 @@ TEST(SchedStatsAttribution, StaticHasNoRequestsDynamicHasMany) {
       EXPECT_GT(s.grants_served, nodes - 1);
     }
   }
+}
+
+// -- the static split ---------------------------------------------------------
+
+/// Sums the items the root passes to the fair-share gate.
+class CountingGate final : public GrantGate {
+ public:
+  void before_grant(index_t items) override { items_ += items; }
+  index_t items() const { return items_; }
+
+ private:
+  index_t items_ = 0;
+};
+
+/// Runs `make()` under kStatic `opts` on `p` ranks and returns the domain of
+/// each rank's one on_chunk call. Checks on the way that every item counter
+/// sums to the outer extent: items executed, items granted plus the root's
+/// own, and the items the gate saw.
+template <typename MakeIter>
+auto static_domains(int p, SchedOptions opts, MakeIter make) {
+  using D = std::remove_cvref_t<decltype(make().domain())>;
+  const index_t extent = core::outer_extent(make().domain());
+  std::vector<D> seen(static_cast<std::size_t>(p));
+  std::vector<int> calls(static_cast<std::size_t>(p), 0);
+  CountingGate gate;
+  opts.gate = &gate;
+  index_t root_items = 0;
+  auto res = net::Cluster::run(p, [&](net::Comm& comm) {
+    NodeRuntime node(1);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    run_chunks(comm, make, opts,
+               [&](const auto& run, index_t, index_t, index_t) {
+                 seen[r] = run.domain();
+                 calls[r] += 1;
+               });
+    if (comm.rank() == 0) root_items = comm.stats().sched.items_executed;
+  });
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(calls, std::vector<int>(static_cast<std::size_t>(p), 1));
+  const net::SchedStats& s = res.total_stats.sched;
+  EXPECT_EQ(s.items_executed, extent);
+  EXPECT_EQ(s.granted_items + root_items, extent);
+  EXPECT_EQ(gate.items(), extent);
+  return seen;
+}
+
+/// Rank r's atom band [natoms*r/p, natoms*(r+1)/p) of `dom` under `opts`.
+template <typename D>
+D atom_band(const D& dom, int p, int r, const SchedOptions& opts) {
+  const index_t extent = core::outer_extent(dom);
+  const index_t grain =
+      resolve_grain(extent, p, opts.grain, core::outer_cost_cv(dom));
+  const index_t natoms = atom_count(extent, grain);
+  return core::outer_slice(dom, std::min(natoms * r / p * grain, extent),
+                           std::min(natoms * (r + 1) / p * grain, extent));
+}
+
+/// Iterators over the four domain kinds the static split handles.
+struct StaticShapes {
+  /// CSR offsets of 300 ragged segments with a hub every 16th.
+  static std::vector<index_t> ragged_offsets() {
+    std::vector<index_t> offsets{0};
+    for (index_t s = 0; s < 300; ++s) {
+      offsets.push_back(offsets.back() + (s % 16 == 0 ? 40 : 1 + s % 3));
+    }
+    return offsets;
+  }
+
+  dist::SegmentedDistArray<double> seg{
+      ragged_offsets(),
+      std::vector<double>(static_cast<std::size_t>(ragged_offsets().back()),
+                          1.0),
+      8};
+
+  static auto seq() {
+    return map(core::range(0, 1000), [](index_t i) { return double(i); });
+  }
+  auto segs() const { return dist::from_segmented(seg); }
+  static auto dim2() {
+    return map(core::array_range(64, 64),
+               [](core::Index2 i) { return double(i.y + i.x); });
+  }
+  static auto dim3() {
+    return map(core::indices(core::Dim3{0, 16, 0, 8, 0, 8}),
+               [](core::Index3 i) { return double(i.z + i.y + i.x); });
+  }
+};
+
+TEST(SchedStatic, DefaultOptionsShipOneSplitBlocksBlockPerRank) {
+  // SchedOptions{}: rank r runs core::split_blocks(dom, p)[r] — the paper's
+  // node blocks, a 2x2 grid for a square Dim2 on 4 ranks.
+  StaticShapes shapes;
+  auto expect_blocks = [](int p, auto make) {
+    const auto want = core::split_blocks(make().domain(), p);
+    const auto got = static_domains(p, SchedOptions{}, make);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_TRUE(got[static_cast<std::size_t>(r)] ==
+                  want[static_cast<std::size_t>(r)])
+          << "rank " << r << " of " << p;
+    }
+  };
+  // 1,000 indices on 3 ranks: rank 1 gets [333, 666), not the atom band.
+  const auto seq = static_domains(3, SchedOptions{}, StaticShapes::seq);
+  EXPECT_EQ(seq[1], (Seq{333, 666}));
+  expect_blocks(3, StaticShapes::seq);
+  expect_blocks(3, [&] { return shapes.segs(); });
+  expect_blocks(5, [&] { return shapes.segs(); });
+  const auto grid = static_domains(4, SchedOptions{}, StaticShapes::dim2);
+  EXPECT_EQ(grid[1], (core::Dim2{0, 32, 32, 64}));
+  EXPECT_EQ(grid[2], (core::Dim2{32, 64, 0, 32}));
+  expect_blocks(4, StaticShapes::dim2);
+  expect_blocks(4, StaticShapes::dim3);
+  expect_blocks(6, StaticShapes::dim3);
+}
+
+TEST(SchedStatic, OrderedOrExplicitGrainShipsAtomBands) {
+  // kOrdered and an explicit grain need atom boundaries, so rank r runs
+  // atoms [natoms*r/p, natoms*(r+1)/p) instead.
+  StaticShapes shapes;
+  SchedOptions ordered;
+  ordered.combine = CombineMode::kOrdered;
+  SchedOptions grained;
+  grained.grain = 3;
+  for (const SchedOptions& opts : {ordered, grained}) {
+    auto expect_bands = [&](int p, auto make) {
+      const auto dom = make().domain();
+      const auto got = static_domains(p, opts, make);
+      for (int r = 0; r < p; ++r) {
+        EXPECT_TRUE(got[static_cast<std::size_t>(r)] ==
+                    atom_band(dom, p, r, opts))
+            << "rank " << r << " of " << p << ", grain " << opts.grain;
+      }
+    };
+    expect_bands(3, StaticShapes::seq);
+    expect_bands(3, [&] { return shapes.segs(); });
+    expect_bands(4, StaticShapes::dim2);
+    expect_bands(4, StaticShapes::dim3);
+  }
+  // 1,000 indices on 3 ranks, auto grain 41: rank 1 gets [328, 656).
+  const auto seq = static_domains(3, ordered, StaticShapes::seq);
+  EXPECT_EQ(seq[1], (Seq{328, 656}));
 }
 
 // -- degenerate shapes ---------------------------------------------------------
