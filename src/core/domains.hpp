@@ -334,6 +334,47 @@ inline std::vector<Seq> split_blocks(Seq d, int k) {
   return out;
 }
 
+/// The most unit weights split_weighted reads, whatever the extent.
+inline constexpr index_t kWeightStrata = 1024;
+
+/// Splits [lo, hi) into `k` contiguous chunks of nearly equal estimated
+/// weight, where `unit_weight(i)` >= 0 is the work of index i (a nest's
+/// inner element count). The n indices form K = min(n, kWeightStrata)
+/// strata [n·j/K, n·(j+1)/K); a stratum weighs unit_weight at its midpoint
+/// times its length, so the cut reads at most kWeightStrata weights. Each
+/// chunk boundary is the stratum boundary whose prefix weight lies nearest
+/// a k-th of the total, which makes the cut exact when n <= kWeightStrata.
+/// A zero total (every unit empty) gives split_blocks(d, k).
+template <typename W>
+std::vector<Seq> split_weighted(Seq d, int k, W&& unit_weight) {
+  TRIOLET_CHECK(k >= 1, "need at least one chunk");
+  const index_t n = d.size();
+  const index_t strata = std::min(n, kWeightStrata);
+  auto start = [&](index_t j) { return n * j / strata; };  // of stratum j
+  std::vector<double> prefix{0.0};  // prefix[j]: weight of strata [0, j)
+  for (index_t j = 0; j < strata; ++j) {
+    const index_t a = start(j), len = start(j + 1) - a;
+    prefix.push_back(prefix.back() +
+                     static_cast<double>(unit_weight(d.lo + a + len / 2) * len));
+  }
+  const double total = prefix.back();
+  if (total <= 0) return split_blocks(d, k);
+  std::vector<Seq> out;
+  std::size_t j = 0;  // prefix[j] <= target < prefix[j + 1], or the last
+  index_t lo = d.lo;
+  for (int c = 1; c < k; ++c) {
+    const double target = total * c / k;
+    while (j + 1 < prefix.size() && prefix[j + 1] <= target) ++j;
+    const bool after = j + 1 < prefix.size() &&
+                       prefix[j + 1] - target < target - prefix[j];
+    const index_t hi = d.lo + start(static_cast<index_t>(j + after));
+    out.push_back(Seq{lo, hi});
+    lo = hi;
+  }
+  out.push_back(Seq{lo, d.hi});
+  return out;
+}
+
 /// Splits a segmented domain into `k` contiguous chunks of nearly-equal
 /// *outer-unit* count. Units are value-balanced (segment_cuts), so this is
 /// an approximate value split that never cuts a segment. Degenerate ragged

@@ -129,6 +129,24 @@ template <typename It>
 inline constexpr bool is_nested_v =
     It::kKind == IterKind::kIdxNest || It::kKind == IterKind::kStepNest;
 
+/// True for an indexer over a Seq domain whose inner iterators report their
+/// length: an indexer inner has size() (its element count, or for a nested
+/// indexer its outer count), a stepper inner does not — filter on an
+/// indexer yields 0-or-1 steppers. Static node blocks of such a nest are
+/// cut by inner size (core::split_weighted) instead of by index count.
+template <typename It>
+struct is_sized_nest : std::false_type {};
+template <typename D, typename Src, typename Ext>
+struct is_sized_nest<IdxNestIter<D, Src, Ext>>
+    : std::bool_constant<
+          std::is_same_v<D, Seq> &&
+          requires(const typename IdxNestIter<D, Src, Ext>::InnerIter& in) {
+            in.size();
+          }> {};
+template <typename It>
+inline constexpr bool is_sized_nest_v =
+    is_sized_nest<std::remove_cvref_t<It>>::value;
+
 /// True when the iterator's source graph contains a resident source (see
 /// source_uses_residency): senders switch to the cache-aware scatter path
 /// only for these, so non-resident iterators compile to exactly the old

@@ -20,12 +20,13 @@
 //
 // Every skeleton takes a trailing `const sched::SchedOptions& opts = {}`
 // that chooses how chunks map to ranks (src/sched/policy.hpp). The default
-// is the paper's `par` schedule: kStatic gives each rank one
-// core::split_blocks block (a near-square grid for 2D domains, the sgemm
-// decomposition of §2), pushed up front. kGuided/kDynamic hand out atom runs
-// on demand, kAuto lets a calibrated model choose (auto_options below), and
-// CombineMode::kOrdered makes reductions bitwise reproducible across
-// policies.
+// is the paper's `par` schedule: kStatic gives each rank one block, pushed
+// up front: a core::split_blocks block (a near-square grid for 2D domains,
+// the sgemm decomposition of §2), or for a 1D nest whose inner iterators
+// have size() an equal share of inner elements (core::split_weighted).
+// kGuided/kDynamic hand out atom runs on demand, kAuto lets a calibrated
+// model choose (auto_options below), and CombineMode::kOrdered makes
+// reductions bitwise reproducible across policies.
 //
 // Iterator construction happens only at the root: callers pass a `make`
 // callable invoked on rank 0, so non-root ranks never need the input data —

@@ -5,10 +5,11 @@
 // SchedulePolicy makes the mapping of chunks to nodes a knob, decoupled
 // from what is computed — the data-vs-work-distribution separation argued
 // by Mapple and Distributed Ranges (PAPERS.md). The default, kStatic, is the
-// paper's `par` schedule: one block per node, perfect for uniform loops but
-// pathological for the skewed iteration spaces the hybrid iterator exists
-// to keep partitionable (filter / concat_map, paper §3.2), which the
-// demand-driven policies balance:
+// paper's `par` schedule: one block per node, perfect for uniform loops and
+// for nests whose inner sizes the root can read (see SchedulePolicy), but
+// pathological for skew it cannot see in the iteration spaces the hybrid
+// iterator keeps partitionable (filters, stepper inners, value-dependent
+// costs; paper §3.2), which the demand-driven policies balance:
 //
 //   kStatic   one grant per rank, assigned up front (no protocol traffic)
 //   kGuided   guided self-scheduling: the root grants runs of chunks whose
@@ -46,12 +47,17 @@ class AutoTuner;
 ///
 /// Which block kStatic gives rank r of p follows from options the caller
 /// already sets. With the default kTree combine and grain 0, no consumer
-/// sees atom boundaries, so rank r gets core::split_blocks(dom, p)[r]: the
-/// paper's node blocks, a near-square grid for a Dim2 domain (the 2D sgemm
-/// decomposition, §2). With kOrdered or an explicit grain, rank r gets the
-/// atom band [natoms·r/p, natoms·(r+1)/p) that per-atom partials need. kAuto
-/// never reaches the block split: its rounds run kDynamic or a pick with a
-/// resolved grain.
+/// sees atom boundaries, so rank r gets one node block. For most shapes it
+/// is core::split_blocks(dom, p)[r]: the paper's node blocks, a
+/// near-square grid for a Dim2 domain (the 2D sgemm decomposition, §2).
+/// A nest over a Seq domain whose inner iterators have size() (concat_map
+/// returning an indexer) is instead cut into contiguous blocks of equal
+/// estimated inner-element counts, read from at most core::kWeightStrata
+/// inner iterators (core::split_weighted), so every rank of a triangular
+/// pair loop gets an equal share of the pairs. With kOrdered or an explicit
+/// grain, rank r gets the atom band [natoms·r/p, natoms·(r+1)/p) that
+/// per-atom partials need. kAuto never reaches the block split: its rounds
+/// run kDynamic or a pick with a resolved grain.
 enum class SchedulePolicy { kStatic, kGuided, kDynamic, kAuto };
 
 /// How per-atom partial results are combined into the final answer.

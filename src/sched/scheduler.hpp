@@ -9,10 +9,11 @@
 // domain maps to ranks:
 //
 //   1. The root cuts the domain. kStatic with the default combine and grain
-//      cuts one core::split_blocks block per rank: the paper's node blocks,
-//      a near-square grid for a 2D domain. Every other configuration cuts a
-//      fixed sequence of atomic chunks ("atoms": `grain` outer-axis units,
-//      core::outer_slice).
+//      cuts one block per rank: the paper's node blocks, a near-square grid
+//      for a 2D domain, and for a 1D nest whose inner iterators report
+//      their size, equal shares of inner elements (detail::static_blocks).
+//      Every other configuration cuts a fixed sequence of atomic chunks
+//      ("atoms": `grain` outer-axis units, core::outer_slice).
 //   2. kStatic pushes one Grant per rank up front. Under kGuided and
 //      kDynamic, worker ranks ask for work by sending a request on the
 //      invocation epoch's request tag (net::sched_request_tag; the pair of
@@ -75,10 +76,12 @@ inline void hash_blocks_on_pool(
 /// `done` dismissal that ends the worker's request loop. `grain` ships with
 /// every grant because only the root resolves it (workers never see the
 /// global extent). kStatic's block split ships grain 0: `task` is then the
-/// rank's whole split_blocks block, and [atom_lo, atom_lo + atom_n) the
-/// rank's even share of the outer units, which its item counters charge (the
-/// blocks of a 2D grid's block-row share their rows, so they cannot each
-/// charge them).
+/// rank's whole block (detail::static_blocks), and [atom_lo, atom_lo +
+/// atom_n) the rank's even share [E·r/p, E·(r+1)/p) of the E outer units,
+/// which its item counters charge. The share is not the block: the blocks
+/// of a 2D grid's block-row share their rows, and a weighted nest block
+/// spans as many units as its inner work needs, so the counters charge
+/// shares, which still sum to E.
 template <typename It>
 struct Grant {
   std::uint8_t done = 0;
@@ -130,6 +133,21 @@ void stream_run(net::Comm& comm, core::StreamingConsumer& stream, Grant<It> g,
   stream.submit([g = std::move(g), &on_chunk] {
     on_chunk(g.task, g.atom_lo, g.atom_n, g.grain);
   });
+}
+
+/// kStatic's node blocks, one per rank (see SchedulePolicy::kStatic). A
+/// nest over a Seq domain whose inner iterators have size() is cut at equal
+/// shares of inner elements, estimated from at most core::kWeightStrata
+/// inner iterators (core::split_weighted); every other shape, and a nest
+/// whose inners are all empty, gets core::split_blocks.
+template <typename It>
+auto static_blocks(const It& it, int p) {
+  if constexpr (core::is_sized_nest_v<It>) {
+    return core::split_weighted(
+        it.domain(), p, [&it](index_t i) { return it.inner_at(i).size(); });
+  } else {
+    return core::split_blocks(it.domain(), p);
+  }
 }
 
 /// Charges the delta of the current pool's counters across one run_chunks
@@ -339,12 +357,12 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
 
   if (opts.policy == SchedulePolicy::kStatic) {
     // One grant per rank, pushed without any request traffic. Rank r gets
-    // its split_blocks block when nothing downstream sees atoms (the default
-    // kTree combine and grain), else its atom band [natoms*r/p,
+    // its static_blocks block when nothing downstream sees atoms (the
+    // default kTree combine and grain), else its atom band [natoms*r/p,
     // natoms*(r+1)/p); see SchedulePolicy::kStatic.
     const bool blocks = opts.combine == CombineMode::kTree && opts.grain == 0;
     std::vector<std::remove_cvref_t<decltype(dom)>> split;
-    if (blocks) split = core::split_blocks(dom, p);
+    if (blocks) split = static_blocks(it, p);
     // Rank r's gated grant. A block is credited with the rank's even share
     // [extent*r/p, extent*(r+1)/p) of the outer units (see Grant).
     auto static_grant = [&](int r) {

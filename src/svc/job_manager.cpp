@@ -114,12 +114,13 @@ void JobManager::shutdown() {
     cv_space_.notify_all();
   }
   if (dispatcher_.joinable()) dispatcher_.join();
-  std::vector<std::thread> groups;
+  std::unordered_map<std::uint64_t, std::thread> groups;
   {
     std::lock_guard<std::mutex> lock(mu_);
     groups.swap(group_threads_);
+    finished_groups_.clear();
   }
-  for (auto& t : groups) t.join();
+  for (auto& entry : groups) entry.second.join();
 }
 
 ServiceStats JobManager::stats() const {
@@ -137,6 +138,21 @@ void JobManager::dispatcher_main() {
              (stopping_ && queue_.empty());
     });
     if (queue_.empty()) return;  // stopping, and drained
+
+    // Join the groups that finished since the last launch, outside mu_ (a
+    // finished group thread may still be returning from run_group), so
+    // threads and their stacks do not pile up until shutdown().
+    std::vector<std::thread> finished;
+    for (const std::uint64_t id : finished_groups_) {
+      auto node = group_threads_.extract(id);
+      finished.push_back(std::move(node.mapped()));
+    }
+    finished_groups_.clear();
+    if (!finished.empty()) {
+      lock.unlock();
+      for (auto& t : finished) t.join();
+      lock.lock();
+    }
 
     // Pop the head job plus every batchable follower (same nonzero
     // batch_key, up to batch_limit): one group = one band lease, one set of
@@ -177,10 +193,11 @@ void JobManager::dispatcher_main() {
       js->result.batched_with = static_cast<int>(group.size()) - 1;
       arbiter_.add_job(js->id, js->opts.weight);
     }
-    group_threads_.emplace_back(
-        [this, band, jobs = std::move(group)]() mutable {
+    const std::uint64_t group_id = group.front()->id;
+    group_threads_.emplace(
+        group_id, std::thread([this, band, jobs = std::move(group)]() mutable {
           run_group(band, std::move(jobs));
-        });
+        }));
   }
 }
 
@@ -282,6 +299,7 @@ void JobManager::run_group(net::TagMap band,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  finished_groups_.push_back(jobs.front()->id);
   stats_.completed += completed;
   stats_.failed += failed;
   running_ -= 1;

@@ -52,6 +52,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/comm.hpp"
@@ -238,7 +239,11 @@ class JobManager {
   std::condition_variable cv_space_;     // submitters waiting on queue room
   std::condition_variable cv_drain_;     // drain() waiting for inflight == 0
   std::deque<std::shared_ptr<detail::JobState>> queue_;
-  std::vector<std::thread> group_threads_;
+  /// Live group threads, keyed by their first job's id. A finishing group
+  /// lists its key in finished_groups_; the dispatcher joins those before
+  /// it launches the next group, and shutdown() joins the rest.
+  std::unordered_map<std::uint64_t, std::thread> group_threads_;
+  std::vector<std::uint64_t> finished_groups_;
   ServiceStats stats_;
   std::uint64_t next_job_id_ = 1;
   int running_ = 0;        // live job groups

@@ -300,6 +300,21 @@ TEST_P(AppsNodes, MriqTrioletDistScalesFunctionally) {
   EXPECT_LT(mriq_rel_error(ref, got), kTol);
 }
 
+TEST_P(AppsNodes, TpacfTrioletDistScalesFunctionally) {
+  // The pair nest's static blocks are cut by pair count, so rank boundaries
+  // fall inside the DR and RR jobs; the histogram stays exact.
+  TpacfProblem p = make_tpacf(70, 3, 16, 48);
+  TpacfHist ref = tpacf_seq_c(p);
+  TpacfHist got;
+  auto res = net::Cluster::run(GetParam(), [&](net::Comm& c) {
+    dist::NodeRuntime node(1);
+    auto r = tpacf_triolet_dist(c, p);
+    if (c.rank() == 0) got = std::move(r);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(got, ref);
+}
+
 TEST_P(AppsNodes, CutcpTrioletDistScalesFunctionally) {
   CutcpProblem p = make_cutcp(60, 10, 10, 10, 1.75f, 47);
   CutcpGrid ref = cutcp_seq_c(p);

@@ -186,6 +186,44 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 7, 100, 1023),
                        ::testing::Values(1, 2, 3, 8, 128)));
 
+// -- split_weighted (kStatic's cut of a sized nest) ---------------------------
+
+TEST(SplitWeighted, ReadsAtMostOneWeightPerStratum) {
+  // Weight i + 1 over [lo, lo + n): every unit is read once up to
+  // kWeightStrata units, never more than kWeightStrata beyond, and the
+  // chunks always tile the domain in order.
+  for (index_t n : {1, 7, 1000, 1024, 1025, 5000, 100000}) {
+    const Seq d{11, 11 + n};
+    for (int k : {1, 2, 3, 8}) {
+      index_t reads = 0;
+      const auto chunks = split_weighted(d, k, [&](index_t i) {
+        EXPECT_TRUE(d.contains(i));
+        ++reads;
+        return i - d.lo + 1;
+      });
+      EXPECT_EQ(reads, std::min(n, kWeightStrata)) << "n " << n;
+      ASSERT_EQ(chunks.size(), static_cast<std::size_t>(k));
+      index_t lo = d.lo;
+      for (const auto& c : chunks) {
+        EXPECT_EQ(c.lo, lo);
+        EXPECT_GE(c.hi, c.lo);
+        lo = c.hi;
+      }
+      EXPECT_EQ(lo, d.hi);
+    }
+  }
+}
+
+TEST(SplitWeighted, CutsAtTheBoundaryNearestEachShare) {
+  // Weights 1 1 1 1 100 1: half the total (52.5) lies nearer the prefix
+  // before unit 4 (4) than after it (104), so the cut is at 4, where
+  // split_blocks would cut at 3.
+  const auto chunks = split_weighted(
+      Seq{0, 6}, 2, [](index_t i) { return index_t{i == 4 ? 100 : 1}; });
+  EXPECT_EQ(chunks[0], (Seq{0, 4}));
+  EXPECT_EQ(chunks[1], (Seq{4, 6}));
+}
+
 // -- degenerate split_blocks shapes (k > extent, empty domains) ---------------
 
 TEST(SplitBlocks, Dim2MoreChunksThanCellsStillPartitions) {

@@ -556,6 +556,146 @@ TEST(SchedStatic, OrderedOrExplicitGrainShipsAtomBands) {
   EXPECT_EQ(seq[1], (Seq{328, 656}));
 }
 
+/// The triangular pair nest of n points: outer index i pairs with [i + 1,
+/// n), so it holds n - 1 - i inner elements (tpacf's RR loops).
+auto triangle(index_t n) {
+  return core::concat_map(core::range(0, n), [n](index_t i) {
+    return map(core::range(i + 1, n), [](index_t j) { return double(j); });
+  });
+}
+
+/// Inner elements of triangle(n) over outer indices d.
+index_t triangle_pairs(index_t n, Seq d) {
+  index_t pairs = 0;
+  for (index_t i = d.lo; i < d.hi; ++i) pairs += n - 1 - i;
+  return pairs;
+}
+
+TEST(SchedStatic, SizedNestBlocksHoldEqualSharesOfInnerElements) {
+  // split_blocks would give rank 0 of 2 three quarters of the pairs. The
+  // weighted cut gives each rank total/p within one stratum's weight, and
+  // with n <= kWeightStrata cuts every boundary at the index whose prefix
+  // lies nearest its share of the total.
+  static_assert(core::is_sized_nest_v<decltype(triangle(1))>);
+  for (const index_t n : {index_t{60}, index_t{5000}}) {
+    const index_t total = n * (n - 1) / 2;
+    const index_t strata = std::min(n, core::kWeightStrata);
+    index_t stratum_max = 0;
+    for (index_t j = 0; j < strata; ++j) {
+      stratum_max = std::max(
+          stratum_max,
+          triangle_pairs(n, Seq{n * j / strata, n * (j + 1) / strata}));
+    }
+    for (const int p : {2, 3, 5, 8}) {
+      const auto got =
+          static_domains(p, SchedOptions{}, [n] { return triangle(n); });
+      index_t lo = 0;
+      for (int r = 0; r < p; ++r) {
+        const Seq b = got[static_cast<std::size_t>(r)];
+        EXPECT_EQ(b.lo, lo) << "n " << n << ", rank " << r << " of " << p;
+        lo = b.hi;
+        EXPECT_LE(std::abs(triangle_pairs(n, b) * p - total), stratum_max * p)
+            << "n " << n << ", rank " << r << " of " << p << " holds "
+            << triangle_pairs(n, b) << " of " << total << " pairs";
+      }
+      EXPECT_EQ(lo, n);
+      if (n > core::kWeightStrata) continue;
+      for (int r = 1; r < p; ++r) {
+        const index_t cut = got[static_cast<std::size_t>(r)].lo;
+        auto miss = [&](index_t at) {
+          return std::abs(triangle_pairs(n, Seq{0, at}) * p - total * r);
+        };
+        for (index_t at = 0; at <= n; ++at) {
+          EXPECT_LE(miss(cut), miss(at))
+              << "cut " << r << " of " << p << " at " << cut << ", not " << at;
+        }
+      }
+    }
+  }
+}
+
+TEST(SchedStatic, StepperNestsAndOtherGridsKeepSplitBlocks) {
+  // A filter on an indexer yields 0-or-1 steppers with no size(), and a
+  // nest over a Dim2 keeps its near-square grid: the root cannot or need
+  // not weigh them, so they get split_blocks like every flat shape
+  // (DefaultOptionsShipOneSplitBlocksBlockPerRank).
+  auto evens = [] {
+    return core::filter(core::range(0, 1000),
+                        [](index_t i) { return i % 2 == 0; });
+  };
+  auto grid_nest = [] {
+    return core::concat_map(core::array_range(32, 32), [](core::Index2 i) {
+      return core::range(0, i.y * 32 + i.x);
+    });
+  };
+  static_assert(!core::is_sized_nest_v<decltype(evens())>);
+  static_assert(!core::is_sized_nest_v<decltype(grid_nest())>);
+  static_assert(!core::is_sized_nest_v<decltype(StaticShapes::seq())>);
+  for (const int p : {2, 3, 4}) {
+    EXPECT_EQ(static_domains(p, SchedOptions{}, evens),
+              core::split_blocks(evens().domain(), p));
+    EXPECT_EQ(static_domains(p, SchedOptions{}, grid_nest),
+              core::split_blocks(grid_nest().domain(), p));
+  }
+}
+
+TEST(SchedStatic, DegenerateSizedNestsFallBack) {
+  // An empty domain and a nest whose inners are all empty carry no weight:
+  // split_blocks. Fewer outer units than ranks leaves some blocks empty,
+  // and the empty blocks still run.
+  auto empty = [] { return triangle(0); };
+  auto hollow = [] {
+    return core::concat_map(core::range(0, 100),
+                            [](index_t i) { return core::range(i, i); });
+  };
+  for (const int p : {1, 3, 8}) {
+    EXPECT_EQ(static_domains(p, SchedOptions{}, empty),
+              core::split_blocks(Seq{0, 0}, p));
+    EXPECT_EQ(static_domains(p, SchedOptions{}, hollow),
+              core::split_blocks(Seq{0, 100}, p));
+  }
+  const auto few = static_domains(5, SchedOptions{}, [] { return triangle(3); });
+  index_t lo = 0, pairs = 0;
+  for (const Seq& b : few) {
+    EXPECT_EQ(b.lo, lo);
+    lo = b.hi;
+    pairs += triangle_pairs(3, b);
+  }
+  EXPECT_EQ(lo, 3);
+  EXPECT_EQ(pairs, 3);
+}
+
+TEST(SchedStatic, SizedNestIntegerResultsMatchSequential) {
+  // count and histogram over the weighted blocks equal the sequential
+  // consumers at every width.
+  const index_t n = 300;
+  auto make = [n] { return triangle(n); };
+  const index_t want_count = core::count(make());
+  const auto want_hist = core::histogram(n, map(make(), [](double j) {
+    return static_cast<index_t>(j);
+  }));
+  for (const int p : {1, 2, 3, 5, 8}) {
+    index_t got_count = -1;
+    std::vector<std::int64_t> got_hist;
+    auto res = net::Cluster::run(p, [&](net::Comm& comm) {
+      NodeRuntime node(2);
+      const index_t c = dist::count(comm, make);
+      auto h = dist::histogram(comm, n, [&] {
+        return map(make(), [](double j) { return static_cast<index_t>(j); });
+      });
+      if (comm.rank() == 0) {
+        got_count = c;
+        got_hist.assign(h.begin(), h.end());
+      }
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(got_count, want_count) << p << " ranks";
+    EXPECT_EQ(got_hist,
+              std::vector<std::int64_t>(want_hist.begin(), want_hist.end()))
+        << p << " ranks";
+  }
+}
+
 // -- degenerate shapes ---------------------------------------------------------
 
 TEST(SchedDegenerate, EmptyDomainTerminatesAndSumsToZero) {

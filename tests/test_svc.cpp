@@ -10,6 +10,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -381,6 +383,43 @@ TEST(JobManagerTest, ConcurrentGroupsHoldDistinctBandsAndReclaimThem) {
   EXPECT_EQ(mgr.bands_in_use(), 0);
   EXPECT_EQ(mgr.stats().peak_concurrent, 2);
   EXPECT_EQ(mgr.stats().bands_leased, 2);
+}
+
+/// This process's virtual size in MB from /proc/self/status, or -1 where
+/// that file cannot be read.
+double vm_size_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stod(line.substr(7)) / 1024.0;  // the line is in kB
+    }
+  }
+  return -1.0;
+}
+
+TEST(JobManagerTest, FinishedGroupThreadsAreJoinedBeforeShutdown) {
+  // One job at a time, each its own group: a group thread that is never
+  // joined keeps its stack mapped (~8 MB of address space per job) until
+  // shutdown(), so VmSize would climb with every job served.
+  if (vm_size_mb() < 0) GTEST_SKIP() << "/proc/self/status is not readable";
+  ServiceOptions so;
+  so.nranks = 2;
+  so.max_concurrent = 1;
+  JobManager mgr(so);
+  auto noop = [](JobContext& ctx) { ctx.comm().barrier(); };
+  double at_50 = 0;
+  for (int j = 1; j <= 500; ++j) {
+    JobResult r = mgr.submit({"noop-" + std::to_string(j)}, noop).wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    if (j == 50) at_50 = vm_size_mb();
+  }
+  const double at_500 = vm_size_mb();
+  EXPECT_LT(at_500 - at_50, 64.0)
+      << "VmSize " << at_50 << " MB after job 50, " << at_500
+      << " MB after job 500";
+  mgr.drain();
+  EXPECT_EQ(mgr.stats().completed, 500);
 }
 
 // -- JobManager: batching -----------------------------------------------------
