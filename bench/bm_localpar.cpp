@@ -219,7 +219,7 @@ int run_checks() {
       opts.streaming = streaming;
       double result = 0.0;
       net::SchedStats sched_stats;
-      net::NodePoolStats pool_stats;
+      runtime::PoolStats pool_stats;
       auto res = net::Cluster::run(4, [&](net::Comm& comm) {
         dist::NodeRuntime node(2);
         auto make = [&] {

@@ -1,15 +1,11 @@
-// The messaging data plane vs the mutex mailbox baseline, head to head.
-//
-// Three traffic shapes, each run on both Transport backends ("ring" is the
-// lock-free data plane of net/ring_transport.hpp; "mailbox" is the original
-// one-mutex-one-condvar queue per rank with O(pending) linear matching):
+// The messaging data plane (net/ring_transport.hpp), three traffic shapes:
 //
 //   storm      many-to-one small-message storm at P ranks: every non-root
 //              rank fires a burst of tiny messages at rank 0, which
 //              receives them round-robin by source — so the pending set is
-//              deep and interleaved, the case the match table turns from an
-//              O(pending) scan under a lock into a hash lookup. Metric:
-//              delivered messages per second.
+//              deep and interleaved, the case the match table serves with a
+//              hash lookup instead of an O(pending) scan. Metric: delivered
+//              messages per second.
 //   pingpong   two ranks bouncing one eager-sized payload: the latency
 //              floor of a send/receive pair (spin-then-park wait, pooled
 //              slab reuse). Metric: seconds per round trip.
@@ -17,16 +13,16 @@
 //              handoff must make large-message cost flat per message, not
 //              per byte copied twice. Metric: bytes per second.
 //
-// Structural checks (both modes): per-(src, tag) FIFO transcripts bitwise
-// identical across backends, a kOrdered spiky-sum bitwise identical across
-// backends, eager/rendezvous counters classifying the traffic as sized,
-// steady-state sends allocation-free (pool misses flat after warmup), and
-// the buffer pool balanced after every cluster teardown. Timing thresholds
-// (the >= 3x storm-rate claim) apply only outside --check.
+// Structural checks (both modes): the storm's per-(src, tag) FIFO
+// transcript equals its expected order, a kOrdered spiky sum is bitwise
+// equal to the sequential left fold, eager/rendezvous counters classify the
+// traffic as sized, steady-state sends are allocation-free (pool misses
+// flat after warmup), and the buffer pool is balanced after every cluster
+// teardown. No check depends on timing.
 //
-// Flags: --ranks=N --rounds=N --check (CI smoke mode: small problem, no
-// timing thresholds, exit 1 unless the structural checks hold).
-// Baseline numbers are recorded in bench/BENCH_msg.json.
+// Flags: --ranks=N --rounds=N --check (CI smoke mode: small problem, exit 1
+// unless the structural checks hold). Recorded numbers are in
+// bench/BENCH_msg.json.
 
 #include <algorithm>
 #include <cstdio>
@@ -54,12 +50,6 @@ struct Shape {
   std::size_t bulk_bytes = 1 << 20;  // well past the eager threshold
 };
 
-net::ClusterOptions options_for(const std::string& backend) {
-  net::ClusterOptions o;
-  o.transport = backend;
-  return o;
-}
-
 struct StormResult {
   double seconds = 0.0;
   std::int64_t messages = 0;
@@ -70,7 +60,7 @@ struct StormResult {
 /// Many-to-one storm: ranks 1..P-1 each send `n` tiny messages to rank 0 on
 /// a per-source tag; rank 0 receives round-robin across sources, so nearly
 /// the whole pending set sits between any receive and its match.
-StormResult run_storm(const std::string& backend, int ranks, int n) {
+StormResult run_storm(int ranks, int n) {
   StormResult out;
   Stopwatch clock;
   auto res = net::Cluster::run(ranks, [&](net::Comm& c) {
@@ -87,11 +77,10 @@ StormResult run_storm(const std::string& backend, int ranks, int n) {
       }
     }
     out.msg = c.snapshot_stats().msg;
-  }, options_for(backend));
+  });
   out.seconds = clock.seconds();
   if (!res.ok) {
-    std::fprintf(stderr, "storm(%s) failed: %s\n", backend.c_str(),
-                 res.error.c_str());
+    std::fprintf(stderr, "storm failed: %s\n", res.error.c_str());
     std::exit(1);
   }
   out.messages = static_cast<std::int64_t>(n) * (ranks - 1);
@@ -100,7 +89,7 @@ StormResult run_storm(const std::string& backend, int ranks, int n) {
 }
 
 /// Two-rank eager ping-pong; returns seconds per round trip.
-double run_pingpong(const std::string& backend, int rounds) {
+double run_pingpong(int rounds) {
   Stopwatch clock;
   auto res = net::Cluster::run(2, [&](net::Comm& c) {
     const int peer = 1 - c.rank();
@@ -114,11 +103,10 @@ double run_pingpong(const std::string& backend, int rounds) {
         c.send_bytes(peer, 3, ball);
       }
     }
-  }, options_for(backend));
+  });
   const double secs = clock.seconds();
   if (!res.ok) {
-    std::fprintf(stderr, "pingpong(%s) failed: %s\n", backend.c_str(),
-                 res.error.c_str());
+    std::fprintf(stderr, "pingpong failed: %s\n", res.error.c_str());
     std::exit(1);
   }
   return secs / rounds;
@@ -130,8 +118,7 @@ struct BulkResult {
 };
 
 /// Two-rank rendezvous exchange of `bytes`-sized payloads.
-BulkResult run_bulk(const std::string& backend, int rounds,
-                    std::size_t bytes) {
+BulkResult run_bulk(int rounds, std::size_t bytes) {
   BulkResult out;
   Stopwatch clock;
   auto res = net::Cluster::run(2, [&](net::Comm& c) {
@@ -146,11 +133,10 @@ BulkResult run_bulk(const std::string& backend, int rounds,
         c.send_bytes(peer, 4, std::move(blob));
       }
     }
-  }, options_for(backend));
+  });
   const double secs = clock.seconds();
   if (!res.ok) {
-    std::fprintf(stderr, "bulk(%s) failed: %s\n", backend.c_str(),
-                 res.error.c_str());
+    std::fprintf(stderr, "bulk failed: %s\n", res.error.c_str());
     std::exit(1);
   }
   out.bytes_per_second =
@@ -159,19 +145,20 @@ BulkResult run_bulk(const std::string& backend, int rounds,
   return out;
 }
 
-/// kOrdered witness: a linear left fold of mixed-magnitude doubles, so any
-/// transport-induced reorder flips low bits.
-double run_ordered_sum(const std::string& backend, int ranks) {
+/// Rank r's contribution to the kOrdered witness: mixed magnitudes, so any
+/// reorder of the fold flips low bits.
+double ordered_term(int r) { return (r + 1) * 1e-13 + r * 1e5; }
+
+/// kOrdered witness: reduce_ordered's linear left fold over `ranks` ranks.
+double run_ordered_sum(int ranks) {
   double out = 0.0;
   auto res = net::Cluster::run(ranks, [&](net::Comm& c) {
-    const double mine = (c.rank() + 1) * 1e-13 + c.rank() * 1e5;
-    const double r =
-        c.reduce_ordered(mine, [](double a, double b) { return a + b; });
+    const double r = c.reduce_ordered(ordered_term(c.rank()),
+                                      [](double a, double b) { return a + b; });
     if (c.rank() == 0) out = r;
-  }, options_for(backend));
+  });
   if (!res.ok) {
-    std::fprintf(stderr, "ordered(%s) failed: %s\n", backend.c_str(),
-                 res.error.c_str());
+    std::fprintf(stderr, "ordered failed: %s\n", res.error.c_str());
     std::exit(1);
   }
   return out;
@@ -201,7 +188,7 @@ std::int64_t run_steady_state_misses(int warmup, int measured) {
     ping_pong(measured);
     c.barrier();
     if (c.rank() == 0) delta = c.snapshot_stats().msg.pool_misses - at_warm;
-  }, options_for("ring"));
+  });
   if (!res.ok) {
     std::fprintf(stderr, "steady-state probe failed: %s\n", res.error.c_str());
     std::exit(1);
@@ -235,40 +222,37 @@ int main(int argc, char** argv) {
   }
   if (rounds_override > 0) shape.storm_msgs = rounds_override;
 
-  std::printf("== bm_msg: ring data plane vs mailbox baseline, %d ranks ==\n",
-              shape.ranks);
+  std::printf("== bm_msg: ring data plane, %d ranks ==\n", shape.ranks);
 
   const std::int64_t pool_before = net::BufferPool::instance().outstanding();
 
-  // Warm up both backends (thread spawn paths, pool depots, first-touch).
-  (void)run_storm("ring", shape.ranks, 50);
-  (void)run_storm("mailbox", shape.ranks, 50);
+  // Warm up (thread spawn paths, pool depots, first-touch).
+  (void)run_storm(shape.ranks, 50);
 
-  StormResult storm_ring = run_storm("ring", shape.ranks, shape.storm_msgs);
-  StormResult storm_mbox = run_storm("mailbox", shape.ranks, shape.storm_msgs);
-  const double rate_ring = storm_ring.messages / storm_ring.seconds;
-  const double rate_mbox = storm_mbox.messages / storm_mbox.seconds;
-  const double storm_speedup = rate_ring / rate_mbox;
+  const StormResult storm = run_storm(shape.ranks, shape.storm_msgs);
+  const double rate = storm.messages / storm.seconds;
+  const double pingpong = run_pingpong(shape.pingpong_rounds);
+  const BulkResult bulk = run_bulk(shape.bulk_rounds, shape.bulk_bytes);
 
-  const double pp_ring = run_pingpong("ring", shape.pingpong_rounds);
-  const double pp_mbox = run_pingpong("mailbox", shape.pingpong_rounds);
-
-  BulkResult bulk_ring = run_bulk("ring", shape.bulk_rounds, shape.bulk_bytes);
-  BulkResult bulk_mbox =
-      run_bulk("mailbox", shape.bulk_rounds, shape.bulk_bytes);
-
-  Table t({"backend", "storm msgs/s", "pingpong s/rt", "bulk GB/s"});
-  t.add_row({"mailbox", Table::num(rate_mbox, 0), Table::num(pp_mbox, 8),
-             Table::num(bulk_mbox.bytes_per_second / 1e9, 2)});
-  t.add_row({"ring", Table::num(rate_ring, 0), Table::num(pp_ring, 8),
-             Table::num(bulk_ring.bytes_per_second / 1e9, 2)});
+  Table t({"storm msgs/s", "pingpong s/rt", "bulk GB/s"});
+  t.add_row({Table::num(rate, 0), Table::num(pingpong, 8),
+             Table::num(bulk.bytes_per_second / 1e9, 2)});
   t.print("message plane, " + std::to_string(shape.ranks) + " ranks, " +
           std::to_string(shape.storm_msgs) + " msgs/sender storm");
-  std::printf("storm rate: %.2fx mailbox; pingpong: %.2fx lower latency\n",
-              storm_speedup, pp_ring > 0 ? pp_mbox / pp_ring : 0.0);
 
-  const double ordered_ring = run_ordered_sum("ring", shape.ranks);
-  const double ordered_mbox = run_ordered_sum("mailbox", shape.ranks);
+  // Rank 0 receives round-robin by source, so per-(src, tag) FIFO fixes
+  // the whole transcript.
+  std::vector<int> expected_transcript;
+  for (int i = 0; i < shape.storm_msgs; ++i) {
+    for (int src = 1; src < shape.ranks; ++src) {
+      expected_transcript.push_back(src * 1000000 + i);
+    }
+  }
+  const double ordered = run_ordered_sum(shape.ranks);
+  double left_fold = ordered_term(0);
+  for (int r = 1; r < shape.ranks; ++r) left_fold += ordered_term(r);
+  const bool ordered_bitwise =
+      std::memcmp(&ordered, &left_fold, sizeof(double)) == 0;
   const std::int64_t steady_misses = run_steady_state_misses(100, 400);
 
   bool ok = true;
@@ -276,24 +260,18 @@ int main(int argc, char** argv) {
     apps::shape_check(what, holds);
     ok = ok && holds;
   };
-  check("per-(src, tag) FIFO transcript bitwise identical ring vs mailbox",
-        storm_ring.transcript == storm_mbox.transcript &&
-            !storm_ring.transcript.empty());
-  check("kOrdered spiky sum bitwise identical ring vs mailbox",
-        std::memcmp(&ordered_ring, &ordered_mbox, sizeof(double)) == 0);
+  check("per-(src, tag) FIFO transcript equals the expected order",
+        storm.transcript == expected_transcript && !storm.transcript.empty());
+  check("kOrdered spiky sum bitwise equal to the sequential left fold",
+        ordered_bitwise);
   check("storm traffic classified eager on the ring plane",
-        storm_ring.msg.eager_msgs >= storm_ring.messages);
+        storm.msg.eager_msgs >= storm.messages);
   check("bulk traffic classified rendezvous on the ring plane",
-        bulk_ring.msg.rendezvous_msgs >= 2 * shape.bulk_rounds);
+        bulk.msg.rendezvous_msgs >= 2 * shape.bulk_rounds);
   check("steady-state sends are allocation-free (pool misses flat)",
         steady_misses == 0);
   check("buffer pool balanced after every teardown",
         net::BufferPool::instance().outstanding() == pool_before);
-  if (!check_only) {
-    check("small-message storm rate >= 3x mailbox at " +
-              std::to_string(shape.ranks) + " ranks",
-          storm_speedup >= 3.0);
-  }
 
   // Machine-readable record (bench/BENCH_msg.json keeps a checked-in copy).
   std::printf("\n{\n");
@@ -302,30 +280,21 @@ int main(int argc, char** argv) {
               "%lld},\n",
               shape.ranks, shape.storm_msgs, shape.pingpong_rounds,
               shape.bulk_rounds, static_cast<long long>(shape.bulk_bytes));
-  std::printf("  \"storm_msgs_per_second\": {\"mailbox\": %.0f, \"ring\": "
-              "%.0f},\n",
-              rate_mbox, rate_ring);
-  std::printf("  \"storm_speedup\": %.2f,\n", storm_speedup);
-  std::printf("  \"pingpong_seconds_per_roundtrip\": {\"mailbox\": %.3e, "
-              "\"ring\": %.3e},\n",
-              pp_mbox, pp_ring);
-  std::printf("  \"bulk_bytes_per_second\": {\"mailbox\": %.3e, \"ring\": "
-              "%.3e},\n",
-              bulk_mbox.bytes_per_second, bulk_ring.bytes_per_second);
+  std::printf("  \"storm_msgs_per_second\": %.0f,\n", rate);
+  std::printf("  \"pingpong_seconds_per_roundtrip\": %.3e,\n", pingpong);
+  std::printf("  \"bulk_bytes_per_second\": %.3e,\n", bulk.bytes_per_second);
   std::printf("  \"ring_msg_counters\": {\"eager_msgs\": %lld, "
               "\"rendezvous_msgs\": %lld, \"pool_hits\": %lld, "
               "\"pool_misses\": %lld, \"ring_full_stalls\": %lld},\n",
-              static_cast<long long>(storm_ring.msg.eager_msgs),
-              static_cast<long long>(storm_ring.msg.rendezvous_msgs),
-              static_cast<long long>(storm_ring.msg.pool_hits),
-              static_cast<long long>(storm_ring.msg.pool_misses),
-              static_cast<long long>(storm_ring.msg.ring_full_stalls));
+              static_cast<long long>(storm.msg.eager_msgs),
+              static_cast<long long>(storm.msg.rendezvous_msgs),
+              static_cast<long long>(storm.msg.pool_hits),
+              static_cast<long long>(storm.msg.pool_misses),
+              static_cast<long long>(storm.msg.ring_full_stalls));
   std::printf("  \"steady_state_pool_misses\": %lld,\n",
               static_cast<long long>(steady_misses));
-  std::printf("  \"ordered_results_bitwise_identical\": %s\n",
-              std::memcmp(&ordered_ring, &ordered_mbox, sizeof(double)) == 0
-                  ? "true"
-                  : "false");
+  std::printf("  \"ordered_result_bitwise_equal_to_left_fold\": %s\n",
+              ordered_bitwise ? "true" : "false");
   std::printf("}\n");
 
   return ok ? 0 : 1;

@@ -17,7 +17,6 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
   // matching could steal another subsystem's messages.
   assert_tag_bands_disjoint();
   ClusterState state(nranks, TransportOptions{
-                                 .backend = options.transport,
                                  .max_message_bytes = options.max_message_bytes,
                                  .eager_bytes = options.eager_bytes,
                              });

@@ -22,9 +22,6 @@ namespace triolet::net {
 struct ClusterOptions {
   /// 0 = unbounded. Nonzero models a runtime with bounded message buffers.
   std::size_t max_message_bytes = 0;
-  /// Transport backend ("ring", "mailbox", or "" = TRIOLET_TRANSPORT env,
-  /// default ring). See net/transport.hpp.
-  std::string transport{};
   /// Eager/rendezvous threshold; -1 = TRIOLET_EAGER_BYTES env, default
   /// kDefaultEagerBytes.
   long eager_bytes = -1;

@@ -4,20 +4,19 @@ namespace triolet::net {
 
 ClusterState::ClusterState(int nranks_in, std::size_t max_message_bytes)
     : ClusterState(nranks_in, TransportOptions{
-                                  .backend = {},
                                   .max_message_bytes = max_message_bytes,
                                   .eager_bytes = -1,
                               }) {}
 
 ClusterState::ClusterState(int nranks_in, const TransportOptions& options)
-    : nranks(nranks_in), transport(make_transport(nranks_in, options)) {}
+    : nranks(nranks_in), transport(nranks_in, options) {}
 
 void ClusterState::abort_all() {
   aborted.store(true, std::memory_order_release);
-  transport->interrupt_all();
+  transport.interrupt_all();
 }
 
-void ClusterState::interrupt_all() { transport->interrupt_all(); }
+void ClusterState::interrupt_all() { transport.interrupt_all(); }
 
 void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg,
                             int collective, std::size_t shard) {

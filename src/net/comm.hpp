@@ -2,8 +2,8 @@
 
 // Communicator: the MPI-analogue endpoint each SPMD rank holds.
 //
-// Point-to-point send/recv move serialized byte payloads between per-rank
-// mailboxes; collectives are layered on point-to-point with reserved tag
+// Point-to-point send/recv move serialized byte payloads between ranks over
+// the ring data plane (net/transport.hpp); collectives are layered on point-to-point with reserved tag
 // bands, like a minimal MPI implementation. All collectives run over
 // logarithmic communication trees (docs/INTERNALS.md "Collective
 // algorithms"):
@@ -38,6 +38,7 @@
 #include "net/transport.hpp"
 #include "net/slice_cache.hpp"
 #include "net/tags.hpp"
+#include "runtime/pool_stats.hpp"
 #include "serial/checksum.hpp"
 #include "serial/serialize.hpp"
 #include "support/macros.hpp"
@@ -69,29 +70,10 @@ struct CollectiveStats {
   std::int64_t bytes_sent = 0;
   std::int64_t messages_received = 0;
   std::int64_t bytes_received = 0;
-
-  CollectiveStats& operator+=(const CollectiveStats& o) {
-    calls += o.calls;
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    messages_received += o.messages_received;
-    bytes_received += o.bytes_received;
-    return *this;
-  }
-  CollectiveStats& operator-=(const CollectiveStats& o) {
-    calls -= o.calls;
-    messages_sent -= o.messages_sent;
-    bytes_sent -= o.bytes_sent;
-    messages_received -= o.messages_received;
-    bytes_received -= o.bytes_received;
-    return *this;
-  }
 };
 
-inline CollectiveStats operator-(CollectiveStats a, const CollectiveStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(CollectiveStats, calls, messages_sent, bytes_sent,
+                     messages_received, bytes_received)
 
 /// Traffic and load attributed to the demand-driven chunk scheduler on one
 /// rank (src/sched/ fills these in; see docs/INTERNALS.md "Distributed
@@ -123,85 +105,13 @@ struct SchedStats {
   /// into sim::calibrate_from.
   std::int64_t grant_payload_bytes = 0;
   std::int64_t granted_items = 0;
-
-  SchedStats& operator+=(const SchedStats& o) {
-    requests_sent += o.requests_sent;
-    grants_served += o.grants_served;
-    grants_received += o.grants_received;
-    chunks_executed += o.chunks_executed;
-    items_executed += o.items_executed;
-    control_messages += o.control_messages;
-    control_bytes += o.control_bytes;
-    busy_seconds += o.busy_seconds;
-    idle_seconds += o.idle_seconds;
-    steal_waits += o.steal_waits;
-    streamed_grants += o.streamed_grants;
-    overlap_seconds += o.overlap_seconds;
-    grant_payload_bytes += o.grant_payload_bytes;
-    granted_items += o.granted_items;
-    return *this;
-  }
-  SchedStats& operator-=(const SchedStats& o) {
-    requests_sent -= o.requests_sent;
-    grants_served -= o.grants_served;
-    grants_received -= o.grants_received;
-    chunks_executed -= o.chunks_executed;
-    items_executed -= o.items_executed;
-    control_messages -= o.control_messages;
-    control_bytes -= o.control_bytes;
-    busy_seconds -= o.busy_seconds;
-    idle_seconds -= o.idle_seconds;
-    steal_waits -= o.steal_waits;
-    streamed_grants -= o.streamed_grants;
-    overlap_seconds -= o.overlap_seconds;
-    grant_payload_bytes -= o.grant_payload_bytes;
-    granted_items -= o.granted_items;
-    return *this;
-  }
 };
 
-inline SchedStats operator-(SchedStats a, const SchedStats& b) {
-  a -= b;
-  return a;
-}
-
-/// Intra-node thread-pool counters mirrored from runtime::PoolStats (net
-/// cannot depend on runtime, so the fields are duplicated). Scheduled
-/// skeletons charge the pool-counter *delta* of each run_chunks call here,
-/// so per-rank steal/park/wake behavior shows up next to the protocol
-/// traffic it serves.
-struct NodePoolStats {
-  std::int64_t tasks_executed = 0;
-  std::int64_t tasks_stolen = 0;
-  std::int64_t splits = 0;
-  std::int64_t steal_attempts = 0;
-  std::int64_t parks = 0;
-  std::int64_t wakes = 0;
-
-  NodePoolStats& operator+=(const NodePoolStats& o) {
-    tasks_executed += o.tasks_executed;
-    tasks_stolen += o.tasks_stolen;
-    splits += o.splits;
-    steal_attempts += o.steal_attempts;
-    parks += o.parks;
-    wakes += o.wakes;
-    return *this;
-  }
-  NodePoolStats& operator-=(const NodePoolStats& o) {
-    tasks_executed -= o.tasks_executed;
-    tasks_stolen -= o.tasks_stolen;
-    splits -= o.splits;
-    steal_attempts -= o.steal_attempts;
-    parks -= o.parks;
-    wakes -= o.wakes;
-    return *this;
-  }
-};
-
-inline NodePoolStats operator-(NodePoolStats a, const NodePoolStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(SchedStats, requests_sent, grants_served,
+                     grants_received, chunks_executed, items_executed,
+                     control_messages, control_bytes, busy_seconds,
+                     idle_seconds, steal_waits, streamed_grants,
+                     overlap_seconds, grant_payload_bytes, granted_items)
 
 /// Fused-view and halo-exchange attribution (src/dist/ views + stencils).
 /// view_* counts leaf-slice payloads a *composite* resident source (zip /
@@ -218,33 +128,11 @@ struct ViewStats {
   std::int64_t halo_bytes = 0;          // boundary payload bytes sent
   std::int64_t ghost_cells = 0;         // ghost cells received
   double halo_overlap_seconds = 0.0;    // interior compute under exchange
-
-  ViewStats& operator+=(const ViewStats& o) {
-    view_tokens += o.view_tokens;
-    view_bytes_avoided += o.view_bytes_avoided;
-    halo_exchanges += o.halo_exchanges;
-    halo_messages += o.halo_messages;
-    halo_bytes += o.halo_bytes;
-    ghost_cells += o.ghost_cells;
-    halo_overlap_seconds += o.halo_overlap_seconds;
-    return *this;
-  }
-  ViewStats& operator-=(const ViewStats& o) {
-    view_tokens -= o.view_tokens;
-    view_bytes_avoided -= o.view_bytes_avoided;
-    halo_exchanges -= o.halo_exchanges;
-    halo_messages -= o.halo_messages;
-    halo_bytes -= o.halo_bytes;
-    ghost_cells -= o.ghost_cells;
-    halo_overlap_seconds -= o.halo_overlap_seconds;
-    return *this;
-  }
 };
 
-inline ViewStats operator-(ViewStats a, const ViewStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(ViewStats, view_tokens, view_bytes_avoided,
+                     halo_exchanges, halo_messages, halo_bytes, ghost_cells,
+                     halo_overlap_seconds)
 
 /// Messaging data-plane counters (the snapshot image of the transport's
 /// MsgCounters shards): protocol split and buffer-pool behavior. After
@@ -257,29 +145,10 @@ struct MsgStats {
   std::int64_t pool_hits = 0;         // slab allocations served by freelists
   std::int64_t pool_misses = 0;       // slab allocations that hit the heap
   std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
-
-  MsgStats& operator+=(const MsgStats& o) {
-    eager_msgs += o.eager_msgs;
-    rendezvous_msgs += o.rendezvous_msgs;
-    pool_hits += o.pool_hits;
-    pool_misses += o.pool_misses;
-    ring_full_stalls += o.ring_full_stalls;
-    return *this;
-  }
-  MsgStats& operator-=(const MsgStats& o) {
-    eager_msgs -= o.eager_msgs;
-    rendezvous_msgs -= o.rendezvous_msgs;
-    pool_hits -= o.pool_hits;
-    pool_misses -= o.pool_misses;
-    ring_full_stalls -= o.ring_full_stalls;
-    return *this;
-  }
 };
 
-inline MsgStats operator-(MsgStats a, const MsgStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
+                     pool_misses, ring_full_stalls)
 
 struct CommStats {
   std::int64_t messages_sent = 0;
@@ -303,7 +172,7 @@ struct CommStats {
   SchedStats sched{};
 
   /// Intra-node pool counters for work this rank's scheduled skeletons ran.
-  NodePoolStats pool{};
+  runtime::PoolStats pool{};
 
   /// Slice-residency attribution: tokens sent instead of payloads,
   /// bytes_avoided, cache hits/misses/evictions (net/slice_cache.hpp).
@@ -318,88 +187,27 @@ struct CommStats {
   const CollectiveStats& collective(Collective c) const {
     return collectives[static_cast<std::size_t>(c)];
   }
-
-  CommStats& operator+=(const CommStats& o) {
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    messages_received += o.messages_received;
-    bytes_received += o.bytes_received;
-    bytes_zero_copy += o.bytes_zero_copy;
-    bytes_copied += o.bytes_copied;
-    for (std::size_t i = 0; i < kNumCollectives; ++i) {
-      collectives[i] += o.collectives[i];
-    }
-    sched += o.sched;
-    pool += o.pool;
-    residency += o.residency;
-    views += o.views;
-    msg += o.msg;
-    return *this;
-  }
-  /// Delta subtraction: `after - before` of two Comm::snapshot_stats()
-  /// snapshots is the traffic of everything in between — the per-round
-  /// attribution primitive the autotuner (and the benches) consume instead
-  /// of hand-tracking individual counters.
-  CommStats& operator-=(const CommStats& o) {
-    messages_sent -= o.messages_sent;
-    bytes_sent -= o.bytes_sent;
-    messages_received -= o.messages_received;
-    bytes_received -= o.bytes_received;
-    bytes_zero_copy -= o.bytes_zero_copy;
-    bytes_copied -= o.bytes_copied;
-    for (std::size_t i = 0; i < kNumCollectives; ++i) {
-      collectives[i] -= o.collectives[i];
-    }
-    sched -= o.sched;
-    pool -= o.pool;
-    residency -= o.residency;
-    views -= o.views;
-    msg -= o.msg;
-    return *this;
-  }
 };
 
-inline CommStats operator-(CommStats a, const CommStats& b) {
-  a -= b;
-  return a;
-}
-
 // Stat structs travel in autotuner round samples (Comm::allgather of
-// per-rank deltas) and in bench gathers; declare their field lists so the
-// generic aggregate codec applies.
-TRIOLET_SERIALIZE_FIELDS(CollectiveStats, calls, messages_sent, bytes_sent,
-                         messages_received, bytes_received)
-TRIOLET_SERIALIZE_FIELDS(SchedStats, requests_sent, grants_served,
-                         grants_received, chunks_executed, items_executed,
-                         control_messages, control_bytes, busy_seconds,
-                         idle_seconds, steal_waits, streamed_grants,
-                         overlap_seconds, grant_payload_bytes, granted_items)
-TRIOLET_SERIALIZE_FIELDS(NodePoolStats, tasks_executed, tasks_stolen, splits,
-                         steal_attempts, parks, wakes)
-TRIOLET_SERIALIZE_FIELDS(ResidencyStats, tokens_sent, bytes_avoided,
-                         slices_inlined, bytes_inlined, cache_hits,
-                         cache_misses, checksum_failures, fetches, evictions,
-                         bytes_inserted)
-TRIOLET_SERIALIZE_FIELDS(ViewStats, view_tokens, view_bytes_avoided,
-                         halo_exchanges, halo_messages, halo_bytes,
-                         ghost_cells, halo_overlap_seconds)
-TRIOLET_SERIALIZE_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
-                         pool_misses, ring_full_stalls)
-TRIOLET_SERIALIZE_FIELDS(CommStats, messages_sent, bytes_sent,
-                         messages_received, bytes_received, bytes_zero_copy,
-                         bytes_copied, collectives, sched, pool, residency,
-                         views, msg)
+// per-rank deltas) and in bench gathers, and `after - before` of two
+// Comm::snapshot_stats() snapshots is the traffic of everything in between —
+// the per-round attribution primitive the autotuner (and the benches)
+// consume instead of hand-tracking individual counters.
+TRIOLET_STATS_FIELDS(CommStats, messages_sent, bytes_sent, messages_received,
+                     bytes_received, bytes_zero_copy, bytes_copied,
+                     collectives, sched, pool, residency, views, msg)
 
 /// Shared state of one in-process cluster (owned by Cluster, referenced by
 /// every Comm).
 struct ClusterState {
-  /// Classic form: backend and eager threshold resolve from the
-  /// environment (TRIOLET_TRANSPORT / TRIOLET_EAGER_BYTES).
+  /// Classic form: the eager threshold resolves from the environment
+  /// (TRIOLET_EAGER_BYTES).
   explicit ClusterState(int nranks, std::size_t max_message_bytes);
   ClusterState(int nranks, const TransportOptions& transport_options);
 
   int nranks = 0;
-  std::unique_ptr<Transport> transport;
+  Transport transport;
   std::atomic<bool> aborted{false};
 
   void abort_all();
@@ -430,7 +238,7 @@ class Comm {
         tags_(tags),
         // Attached eagerly so the progress engine can use the cached
         // endpoint without racing a lazy initialization.
-        endpoint_(&state->transport->attach(rank, tags.base)),
+        endpoint_(&state->transport.attach(rank, tags.base)),
         shared_residency_(shared_residency),
         job_aborted_(job_aborted) {}
 
@@ -836,7 +644,7 @@ class Comm {
   ResidencyStats& residency_stats() { return stats_.residency; }
 
   /// Mutable intra-node pool counters (rank-thread only, like sched_stats).
-  NodePoolStats& pool_stats() { return stats_.pool; }
+  runtime::PoolStats& pool_stats() { return stats_.pool; }
 
   /// Mutable view/halo counters (rank-thread only, like sched_stats).
   ViewStats& view_stats() { return stats_.views; }
@@ -1036,7 +844,7 @@ class Comm {
 };
 
 /// Waitable handle for one posted receive. Matching is pull-based: the
-/// message is claimed from the mailbox at wait()/test() time, so posting is
+/// message is claimed from the transport at wait()/test() time, so posting is
 /// free and several handles may race via wait_any. Completion is sticky —
 /// after the first successful wait()/test(), message() returns the match.
 class PendingRecv {

@@ -3,14 +3,14 @@
 // Per-rank asynchronous progress engine.
 //
 // `Comm::isend` returns immediately: the serialization, checksum, and
-// mailbox delivery of the message run on this engine's thread, overlapping
+// transport delivery of the message run on this engine's thread, overlapping
 // with the caller's computation (the MPI progress-thread model). Operations
 // posted by one rank execute in FIFO order, so two isends to the same
 // (dst, tag) are delivered in posting order and a blocking send that
 // flushes the engine first can never overtake an earlier isend.
 //
 // Error model: an operation that throws (e.g. BufferOverflow on a bounded
-// mailbox) completes its handle with the exception; `PendingSend::wait`
+// buffer) completes its handle with the exception; `PendingSend::wait`
 // rethrows it. Fire-and-forget senders that drop the handle still hear
 // about the failure — when a failing op's handle is already dropped, the
 // engine keeps the first such deferred error and `flush()` rethrows it, and

@@ -4,28 +4,29 @@
 #include <cstdlib>
 #include <limits>
 #include <thread>
-#include <unordered_map>
 
 #include "net/tags.hpp"
+#include "net/transport.hpp"
 #include "serial/bytes.hpp"
 
 namespace triolet::net {
 
 namespace {
 
+/// Resolves TransportOptions::eager_bytes (-1 = TRIOLET_EAGER_BYTES env,
+/// default kDefaultEagerBytes).
+std::size_t resolve_eager_bytes(long option) {
+  if (option >= 0) return static_cast<std::size_t>(option);
+  if (const char* env = std::getenv("TRIOLET_EAGER_BYTES")) {
+    const long v = std::atol(env);
+    if (v >= 0) return static_cast<std::size_t>(v);
+  }
+  return kDefaultEagerBytes;
+}
+
 /// Receive-side spin budget before parking (drain attempts, yielding each
 /// iteration so the spin is productive even on a single hardware core).
-/// Overridable with TRIOLET_NET_SPIN.
-std::size_t recv_spin_budget() {
-  static const std::size_t budget = [] {
-    if (const char* env = std::getenv("TRIOLET_NET_SPIN")) {
-      const long v = std::atol(env);
-      if (v >= 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{64};
-  }();
-  return budget;
-}
+constexpr std::size_t kRecvSpinBudget = 64;
 
 /// Spin-then-park waiter, one per receiver (a receiver is single-threaded,
 /// so there is never more than one parked waiter). Wakeups follow the
@@ -38,8 +39,8 @@ std::size_t recv_spin_budget() {
 ///
 /// The fences guarantee at least one side sees the other (the receiver's
 /// re-probe sees the descriptor, or the sender sees parked == true), and
-/// taking mu around the notify closes the probe-to-wait gap — the same
-/// lost-wakeup class Mailbox::interrupt() had.
+/// taking mu around the notify closes the probe-to-wait gap, where a
+/// notify that lands between a waiter's flag check and its wait is lost.
 struct Parker {
   std::mutex mu;
   std::condition_variable cv;
@@ -119,16 +120,33 @@ struct RxState {
   }
 };
 
+/// Parks the receiver until a sender publishes, an interrupt lands, or an
+/// abort flag is raised.
+void park(RxState& r, const std::atomic<bool>& aborted,
+          const std::atomic<bool>* also_aborted) {
+  std::unique_lock<std::mutex> lock(r.parker.mu);
+  r.parker.parked.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Re-probe under the armed flag (and the lock): either this sees the
+  // sender's publish, or the sender's fenced read sees parked == true and
+  // it queues behind the mutex to notify after the wait is armed.
+  if (!r.maybe_pending() && !aborted.load(std::memory_order_acquire) &&
+      !(also_aborted && also_aborted->load(std::memory_order_acquire))) {
+    r.parker.cv.wait(lock);
+  }
+  r.parker.parked.store(false, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 /// One tag band's private P*P fabric. Bands map a job's entire tag space
 /// into a disjoint range, so traffic never crosses domains and each
 /// (job, rank) pair keeps the single-consumer / single-producer invariants
 /// the rings and tables rely on.
-class Domain {
+class Transport::Domain {
  public:
   Domain(int nranks, std::size_t max_message_bytes, std::size_t eager_bytes)
-      : nranks_(nranks),
-        max_message_bytes_(max_message_bytes),
-        eager_bytes_(eager_bytes) {
+      : max_message_bytes_(max_message_bytes), eager_bytes_(eager_bytes) {
     rx_.reserve(static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
       rx_.push_back(std::make_unique<RxState>(nranks));
@@ -138,7 +156,6 @@ class Domain {
   ~Domain() { purge_all(); }
 
   RxState& rx(int rank) { return *rx_[static_cast<std::size_t>(rank)]; }
-  int nranks() const { return nranks_; }
 
   void deliver(int src, int dst, int tag, serial::SegmentedBytes sg,
                MsgCounters& mc) {
@@ -228,178 +245,128 @@ class Domain {
   }
 
  private:
-  const int nranks_;
   const std::size_t max_message_bytes_;
   const std::size_t eager_bytes_;
   std::vector<std::unique_ptr<RxState>> rx_;
 };
 
-/// Endpoint: rank r's handle on one domain. deliver() runs as sender r;
-/// the pop family reads rank r's RxState.
-class RingEndpoint final : public Transport::Endpoint {
- public:
-  RingEndpoint(Domain* domain, int rank) : domain_(domain), rank_(rank) {}
+// -- Endpoint: rank r's handle on one domain. deliver() runs as sender r;
+// the pop family reads rank r's RxState.
 
-  void deliver(int dst, int tag, serial::SegmentedBytes sg,
-               MsgCounters& mc) override {
-    domain_->deliver(rank_, dst, tag, std::move(sg), mc);
-  }
+void Transport::Endpoint::deliver(int dst, int tag, serial::SegmentedBytes sg,
+                                  MsgCounters& mc) {
+  domain_->deliver(rank_, dst, tag, std::move(sg), mc);
+}
 
-  Message pop_match(int src, int tag, const std::atomic<bool>& aborted,
-                    int wild_lo, int wild_hi,
-                    const std::atomic<bool>* also_aborted) override {
-    const std::pair<int, int> pattern{src, tag};
-    std::size_t which = 0;
-    return pop_match_any({&pattern, 1}, aborted, which, wild_lo, wild_hi,
-                         also_aborted);
-  }
+Message Transport::Endpoint::pop_match(int src, int tag,
+                                       const std::atomic<bool>& aborted,
+                                       int wild_lo, int wild_hi,
+                                       const std::atomic<bool>* also_aborted) {
+  const std::pair<int, int> pattern{src, tag};
+  std::size_t which = 0;
+  return pop_match_any({&pattern, 1}, aborted, which, wild_lo, wild_hi,
+                       also_aborted);
+}
 
-  Message pop_match_any(std::span<const std::pair<int, int>> patterns,
-                        const std::atomic<bool>& aborted, std::size_t& which,
-                        int wild_lo, int wild_hi,
-                        const std::atomic<bool>* also_aborted) override {
-    RxState& r = domain_->rx(rank_);
-    const std::size_t spin_budget = recv_spin_budget();
-    std::size_t spins = 0;
-    while (true) {
-      if (r.drain()) spins = 0;
-      MatchTable::Entry* e =
-          r.table.find_any(patterns, which, wild_lo, wild_hi);
-      if (e != nullptr) return r.table.take(e);
-      if (aborted.load(std::memory_order_acquire) ||
-          (also_aborted &&
-           also_aborted->load(std::memory_order_acquire))) {
-        throw ClusterAborted();
-      }
-      if (spins < spin_budget) {
-        spins += 1;
-        std::this_thread::yield();
-        continue;
-      }
-      park(r, aborted, also_aborted);
+Message Transport::Endpoint::pop_match_any(
+    std::span<const std::pair<int, int>> patterns,
+    const std::atomic<bool>& aborted, std::size_t& which, int wild_lo,
+    int wild_hi, const std::atomic<bool>* also_aborted) {
+  RxState& r = domain_->rx(rank_);
+  std::size_t spins = 0;
+  while (true) {
+    if (r.drain()) spins = 0;
+    MatchTable::Entry* e = r.table.find_any(patterns, which, wild_lo, wild_hi);
+    if (e != nullptr) return r.table.take(e);
+    if (aborted.load(std::memory_order_acquire) ||
+        (also_aborted && also_aborted->load(std::memory_order_acquire))) {
+      throw ClusterAborted();
     }
-  }
-
-  bool try_pop_match(int src, int tag, Message& out, int wild_lo,
-                     int wild_hi) override {
-    RxState& r = domain_->rx(rank_);
-    r.drain();
-    MatchTable::Entry* e = r.table.find(src, tag, wild_lo, wild_hi);
-    if (e == nullptr) return false;
-    out = r.table.take(e);
-    return true;
-  }
-
- private:
-  void park(RxState& r, const std::atomic<bool>& aborted,
-            const std::atomic<bool>* also_aborted) {
-    std::unique_lock<std::mutex> lock(r.parker.mu);
-    r.parker.parked.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Re-probe under the armed flag (and the lock): either this sees the
-    // sender's publish, or the sender's fenced read sees parked == true and
-    // it queues behind the mutex to notify after the wait is armed.
-    if (!r.maybe_pending() && !aborted.load(std::memory_order_acquire) &&
-        !(also_aborted && also_aborted->load(std::memory_order_acquire))) {
-      r.parker.cv.wait(lock);
+    if (spins < kRecvSpinBudget) {
+      spins += 1;
+      std::this_thread::yield();
+      continue;
     }
-    r.parker.parked.store(false, std::memory_order_relaxed);
+    park(r, aborted, also_aborted);
   }
+}
 
-  Domain* domain_;
-  const int rank_;
-};
+bool Transport::Endpoint::try_pop_match(int src, int tag, Message& out,
+                                        int wild_lo, int wild_hi) {
+  RxState& r = domain_->rx(rank_);
+  r.drain();
+  MatchTable::Entry* e = r.table.find(src, tag, wild_lo, wild_hi);
+  if (e == nullptr) return false;
+  out = r.table.take(e);
+  return true;
+}
 
-class RingTransport final : public Transport {
- public:
-  RingTransport(int nranks, std::size_t max_message_bytes,
-                std::size_t eager_bytes)
-      : nranks_(nranks),
-        max_message_bytes_(max_message_bytes),
-        eager_bytes_(eager_bytes) {}
+// -- Transport ----------------------------------------------------------------
 
-  int nranks() const override { return nranks_; }
-  const char* name() const override { return "ring"; }
-  std::size_t eager_bytes() const override { return eager_bytes_; }
+Transport::Transport(int nranks, const TransportOptions& options)
+    : nranks_(nranks),
+      max_message_bytes_(options.max_message_bytes),
+      eager_bytes_(resolve_eager_bytes(options.eager_bytes)) {
+  TRIOLET_CHECK(nranks >= 1, "cluster needs at least one rank");
+}
 
-  Endpoint& attach(int rank, int band_base) override {
-    TRIOLET_CHECK(rank >= 0 && rank < nranks_,
-                  "attach: rank outside the cluster");
+Transport::~Transport() = default;
+
+Transport::Domain& Transport::domain_locked(int band_base) {
+  auto& dom = domains_[band_base];
+  if (!dom) {
+    dom = std::make_unique<Domain>(nranks_, max_message_bytes_, eager_bytes_);
+  }
+  return *dom;
+}
+
+Transport::Endpoint& Transport::attach(int rank, int band_base) {
+  TRIOLET_CHECK(rank >= 0 && rank < nranks_,
+                "attach: rank outside the cluster");
+  std::lock_guard<std::mutex> lock(mu_);
+  Domain& dom = domain_locked(band_base);
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(band_base))
+       << 32) |
+      static_cast<std::uint32_t>(rank);
+  auto& ep = endpoints_[key];
+  if (!ep) ep = std::make_unique<Endpoint>(&dom, rank);
+  return *ep;
+}
+
+std::size_t Transport::purge_tag_range(int lo, int hi) {
+  // A band's traffic lives only in its own domain (senders map every tag
+  // into the band), so only domains inside [lo, hi) are touched — other
+  // domains may have live rank threads, and draining their rings from
+  // this thread would break the single-consumer invariant.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t dropped = 0;
+  for (auto& [base, dom] : domains_) {
+    if (base >= lo && base < hi) dropped += dom->purge_range(lo, hi);
+  }
+  return dropped;
+}
+
+void Transport::interrupt_all() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [base, dom] : domains_) dom->interrupt_all();
+}
+
+void Transport::inject(int dst, Message m) {
+  Domain* dom = nullptr;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    auto& dom = domains_[band_base];
-    if (!dom) {
-      dom = std::make_unique<Domain>(nranks_, max_message_bytes_,
-                                     eager_bytes_);
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(band_base))
-         << 32) |
-        static_cast<std::uint32_t>(rank);
-    auto& ep = endpoints_[key];
-    if (!ep) ep = std::make_unique<RingEndpoint>(dom.get(), rank);
-    return *ep;
-  }
-
-  std::size_t purge_tag_range(int lo, int hi) override {
-    // A band's traffic lives only in its own domain (senders map every tag
-    // into the band), so only domains inside [lo, hi) are touched — other
-    // domains may have live rank threads, and draining their rings from
-    // this thread would break the single-consumer invariant.
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t dropped = 0;
-    for (auto& [base, dom] : domains_) {
-      if (base >= lo && base < hi) dropped += dom->purge_range(lo, hi);
-    }
-    return dropped;
-  }
-
-  void interrupt_all() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [base, dom] : domains_) dom->interrupt_all();
-  }
-
-  void inject(int dst, Message m) override {
-    Domain* dom;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Route by the message's tag: the domain whose band contains it, or
-      // the identity domain (created on demand for transport-only tests).
-      dom = nullptr;
-      for (auto& [base, d] : domains_) {
-        if (base != 0 && m.tag >= base && m.tag < base + kJobBandWidth) {
-          dom = d.get();
-          break;
-        }
-      }
-      if (dom == nullptr) {
-        auto& identity = domains_[0];
-        if (!identity) {
-          identity = std::make_unique<Domain>(nranks_, max_message_bytes_,
-                                              eager_bytes_);
-        }
-        dom = identity.get();
+    // Route by the message's tag: the domain whose band contains it, or
+    // the identity domain (created on demand for transport-only tests).
+    for (auto& [base, d] : domains_) {
+      if (base != 0 && m.tag >= base && m.tag < base + kJobBandWidth) {
+        dom = d.get();
+        break;
       }
     }
-    dom->inject(dst, std::move(m));
+    if (dom == nullptr) dom = &domain_locked(0);
   }
-
- private:
-  const int nranks_;
-  const std::size_t max_message_bytes_;
-  const std::size_t eager_bytes_;
-
-  std::mutex mu_;
-  std::unordered_map<int, std::unique_ptr<Domain>> domains_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<RingEndpoint>> endpoints_;
-};
-
-}  // namespace
-
-std::unique_ptr<Transport> make_ring_transport(int nranks,
-                                               std::size_t max_message_bytes,
-                                               std::size_t eager_bytes) {
-  return std::make_unique<RingTransport>(nranks, max_message_bytes,
-                                         eager_bytes);
+  dom->inject(dst, std::move(m));
 }
 
 }  // namespace triolet::net

@@ -1,6 +1,6 @@
 #pragma once
 
-// The lock-free messaging data plane (the default Transport backend).
+// The lock-free messaging data plane behind net::Transport.
 //
 // Layout per tag-band domain (docs/INTERNALS.md §16):
 //
@@ -11,8 +11,8 @@
 // lock and no contention between senders. The receiver drains every ring
 // into a private tag-indexed match table — open-addressed buckets keyed by
 // (src, tag), FIFO per key, plus one arrival-order list for wildcard
-// windows — so pop_match is a hash lookup instead of the mailbox's
-// O(pending) scan under a lock.
+// windows — so pop_match is a hash lookup instead of an O(pending) scan of
+// one shared queue under a lock.
 //
 // A descriptor is fixed-size and trivially copyable. Payloads ride along in
 // one of two ways:
@@ -33,8 +33,8 @@
 // is counted in MsgCounters::ring_full_stalls.
 //
 // This header exposes the building blocks (descriptor, ring, match table)
-// so they can be unit-tested in isolation; the Transport implementation
-// that wires P*P of them together lives in ring_transport.cpp.
+// so they can be unit-tested in isolation; ring_transport.cpp wires P*P of
+// them together into net::Transport (net/transport.hpp).
 
 #include <atomic>
 #include <cstddef>
@@ -48,7 +48,6 @@
 
 #include "net/message.hpp"
 #include "net/pool.hpp"
-#include "net/transport.hpp"
 #include "support/macros.hpp"
 
 namespace triolet::net {
@@ -405,11 +404,5 @@ class MatchTable {
   std::uint64_t next_seq_ = 0;
   std::size_t count_ = 0;
 };
-
-/// Builds the ring-backend transport (make_transport dispatches here for
-/// backend "ring").
-std::unique_ptr<Transport> make_ring_transport(int nranks,
-                                               std::size_t max_message_bytes,
-                                               std::size_t eager_bytes);
 
 }  // namespace triolet::net

@@ -28,6 +28,7 @@
 #include <unordered_map>
 
 #include "serial/residency.hpp"
+#include "support/fields.hpp"
 
 namespace triolet::net {
 
@@ -47,39 +48,11 @@ struct ResidencyStats {
   std::int64_t fetches = 0;             // fallback round trips to the owner
   std::int64_t evictions = 0;
   std::int64_t bytes_inserted = 0;
-
-  ResidencyStats& operator+=(const ResidencyStats& o) {
-    tokens_sent += o.tokens_sent;
-    bytes_avoided += o.bytes_avoided;
-    slices_inlined += o.slices_inlined;
-    bytes_inlined += o.bytes_inlined;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    checksum_failures += o.checksum_failures;
-    fetches += o.fetches;
-    evictions += o.evictions;
-    bytes_inserted += o.bytes_inserted;
-    return *this;
-  }
-  ResidencyStats& operator-=(const ResidencyStats& o) {
-    tokens_sent -= o.tokens_sent;
-    bytes_avoided -= o.bytes_avoided;
-    slices_inlined -= o.slices_inlined;
-    bytes_inlined -= o.bytes_inlined;
-    cache_hits -= o.cache_hits;
-    cache_misses -= o.cache_misses;
-    checksum_failures -= o.checksum_failures;
-    fetches -= o.fetches;
-    evictions -= o.evictions;
-    bytes_inserted -= o.bytes_inserted;
-    return *this;
-  }
 };
 
-inline ResidencyStats operator-(ResidencyStats a, const ResidencyStats& b) {
-  a -= b;
-  return a;
-}
+TRIOLET_STATS_FIELDS(ResidencyStats, tokens_sent, bytes_avoided,
+                     slices_inlined, bytes_inlined, cache_hits, cache_misses,
+                     checksum_failures, fetches, evictions, bytes_inserted)
 
 /// LRU byte-budgeted slice store. With `stats == nullptr` the cache is a
 /// sender-side *model*: it tracks lengths and checksums but stores no bytes

@@ -43,7 +43,7 @@ inline constexpr int kUserTagLimit = 1 << 26;
 // started AND consuming a done slot a slow round-r worker still needs —
 // that worker then waits forever for a grant while the root blocks in the
 // next collective. Epoch-tagged requests from round r+1 simply wait in the
-// root's mailbox until its round r+1 service loop matches them. Workers
+// root's match table until its round r+1 service loop matches them. Workers
 // can run at most one epoch ahead of the root (they cannot finish an epoch
 // without its grants), so 32 rotating pairs can never alias.
 inline constexpr int kTagSchedBand = 1 << 26;
@@ -104,7 +104,7 @@ inline std::span<const TagBand> reserved_tag_bands() {
 
 // -- per-job leased bands (src/svc/) -----------------------------------------
 //
-// The service layer runs many concurrent jobs over one shared mailbox
+// The service layer runs many concurrent jobs over one shared message
 // network. Each job leases one band out of the region below and a TagMap
 // folds the job's *entire* canonical tag space — user tags plus every
 // reserved band above — into its lease, so two jobs' messages can never
@@ -198,7 +198,7 @@ struct TagMap {
   }
 
   /// map() that passes receive wildcards (negative tags) through unchanged;
-  /// the mailbox restricts what a wildcard may match via [any_lo, any_hi).
+  /// the transport restricts what a wildcard may match via [any_lo, any_hi).
   int map_pattern(int tag) const { return tag < 0 ? tag : map(tag); }
 };
 

@@ -1,29 +1,16 @@
 #pragma once
 
-// Transport: the seam between Comm and the bytes-moving substrate.
+// Transport: the data plane under Comm.
 //
 // Comm implements the MPI-shaped API (typed sends, collectives, services,
-// tag mapping, stats attribution); a Transport moves finished payloads
-// between ranks and matches them on the receive side. Carving this seam is
-// the first step toward ROADMAP item 3 (pluggable multi-process backends):
-// a socket or shared-memory backend is a third implementation of the same
-// five virtuals, invisible to every layer above Comm.
+// tag mapping, stats attribution); the Transport moves finished payloads
+// between ranks and matches them on the receive side. It is the lock-free
+// ring plane: per-(sender, receiver) SPSC descriptor rings drained into a
+// receiver-private tag-indexed match table, slab-pooled eager payloads, and
+// an ownership-passing rendezvous path for large messages. The building
+// blocks live in net/ring_transport.hpp, the wiring in ring_transport.cpp.
 //
-// Two in-process backends ship today:
-//
-//   ring      (default) the lock-free data plane: per-(sender, receiver)
-//             SPSC descriptor rings drained into a receiver-private
-//             tag-indexed match table, slab-pooled eager payloads, and an
-//             ownership-passing rendezvous path for large messages
-//             (net/ring_transport.hpp).
-//   mailbox   the original mutex+condvar Mailbox per rank with O(pending)
-//             linear-scan matching. Kept as the baseline bm_msg measures
-//             against and as the semantic reference for equivalence tests.
-//
-// Selection: TransportOptions::backend, else the TRIOLET_TRANSPORT
-// environment variable ("ring" | "mailbox"), else ring.
-//
-// Threading contract (both backends satisfy it; future backends must):
+// Threading contract:
 //   - deliver() on an endpoint attached as rank r may be called by r's rank
 //     thread and r's progress-engine thread, but never concurrently for the
 //     same (endpoint) — Comm guarantees this by flushing the engine before
@@ -38,10 +25,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
-#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "net/message.hpp"
@@ -54,11 +41,8 @@ namespace triolet::net {
 inline constexpr std::size_t kDefaultEagerBytes = 4096;
 
 struct TransportOptions {
-  /// "ring", "mailbox", or "" (resolve from TRIOLET_TRANSPORT, default
-  /// ring).
-  std::string backend{};
   /// 0 = unbounded; nonzero models bounded message buffers (BufferOverflow
-  /// thrown at the sender, as Mailbox::push always did).
+  /// thrown at the sender).
   std::size_t max_message_bytes = 0;
   /// Payloads <= this many bytes are copied inline into a pooled slab
   /// (eager); larger payloads change hands as owned buffers (rendezvous).
@@ -67,7 +51,7 @@ struct TransportOptions {
   long eager_bytes = -1;
 };
 
-/// Message-plane counters a transport increments as it moves traffic.
+/// Message-plane counters the transport increments as it moves traffic.
 /// Relaxed atomics because Comm keeps one shard per producing thread (rank
 /// thread, progress engine) and only sums them at snapshot time.
 struct MsgCounters {
@@ -79,82 +63,84 @@ struct MsgCounters {
 };
 
 class Transport {
+  class Domain;  // one tag band's P*P fabric (ring_transport.cpp)
+
  public:
   /// One rank's attachment to the transport within one tag band (a leased
   /// job band under the service layer, band 0 otherwise). The endpoint is
   /// owned by the transport and stays valid for the transport's lifetime.
   class Endpoint {
    public:
-    virtual ~Endpoint() = default;
+    Endpoint(Domain* domain, int rank) : domain_(domain), rank_(rank) {}
 
     /// Ships `sg` to rank `dst` under (already band-mapped) `tag`, stamped
     /// with sg.stream_checksum(). Borrowed segments in `sg` are copied
     /// before return, so they only need to live for the call. Throws
     /// BufferOverflow when sg.size() exceeds the configured limit.
-    virtual void deliver(int dst, int tag, serial::SegmentedBytes sg,
-                         MsgCounters& counters) = 0;
+    void deliver(int dst, int tag, serial::SegmentedBytes sg,
+                 MsgCounters& counters);
 
     /// Blocks until a message matching (src, tag) is available and removes
     /// it. kAnySource / kAnyTag act as wildcards; a kAnyTag pattern only
     /// matches tags in [wild_lo, wild_hi). Throws ClusterAborted when
     /// `aborted` (or the optional `also_aborted`) is raised while waiting.
-    virtual Message pop_match(int src, int tag,
-                              const std::atomic<bool>& aborted, int wild_lo,
-                              int wild_hi,
-                              const std::atomic<bool>* also_aborted) = 0;
+    Message pop_match(int src, int tag, const std::atomic<bool>& aborted,
+                      int wild_lo, int wild_hi,
+                      const std::atomic<bool>* also_aborted);
 
     /// Blocks until a message matching any of `patterns` is available;
     /// removes and returns it with `which` set to the matching pattern
     /// index. When several patterns could match queued messages, the
     /// earliest-arrived message wins (and ties go to the lowest pattern
     /// index), preserving per-(src, tag) FIFO delivery.
-    virtual Message pop_match_any(
-        std::span<const std::pair<int, int>> patterns,
-        const std::atomic<bool>& aborted, std::size_t& which, int wild_lo,
-        int wild_hi, const std::atomic<bool>* also_aborted) = 0;
+    Message pop_match_any(std::span<const std::pair<int, int>> patterns,
+                          const std::atomic<bool>& aborted,
+                          std::size_t& which, int wild_lo, int wild_hi,
+                          const std::atomic<bool>* also_aborted);
 
     /// Non-blocking pop_match; returns false when nothing matches.
-    virtual bool try_pop_match(int src, int tag, Message& out, int wild_lo,
-                               int wild_hi) = 0;
+    bool try_pop_match(int src, int tag, Message& out, int wild_lo,
+                       int wild_hi);
+
+   private:
+    Domain* domain_;
+    const int rank_;
   };
 
-  virtual ~Transport() = default;
-
-  virtual int nranks() const = 0;
-  virtual const char* name() const = 0;
-
-  /// This transport's resolved eager threshold in bytes.
-  virtual std::size_t eager_bytes() const = 0;
+  Transport(int nranks, const TransportOptions& options);
+  ~Transport();
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   /// The endpoint of `rank` in the band starting at `band_base` (0 = the
   /// identity band). Thread-safe; idempotent per (rank, band_base).
-  virtual Endpoint& attach(int rank, int band_base) = 0;
+  Endpoint& attach(int rank, int band_base);
 
   /// Drops every pending message whose tag is in [lo, hi) on every rank —
   /// including descriptors still in flight inside rings — returning their
   /// buffers to the pool. Returns how many messages were dropped. See the
   /// quiescence contract in the file comment.
-  virtual std::size_t purge_tag_range(int lo, int hi) = 0;
+  std::size_t purge_tag_range(int lo, int hi);
 
   /// Wakes every blocked receiver without delivering anything; waiters
   /// re-check their abort flags (cluster-wide and per-job) and either
   /// throw ClusterAborted or go back to sleep.
-  virtual void interrupt_all() = 0;
+  void interrupt_all();
 
   /// Test hook: deposits `m` at rank `dst` exactly as given — checksum and
   /// src are NOT recomputed, so tests can inject corrupted traffic.
-  virtual void inject(int dst, Message m) = 0;
+  void inject(int dst, Message m);
+
+ private:
+  Domain& domain_locked(int band_base);
+
+  const int nranks_;
+  const std::size_t max_message_bytes_;
+  const std::size_t eager_bytes_;
+
+  std::mutex mu_;
+  std::unordered_map<int, std::unique_ptr<Domain>> domains_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Endpoint>> endpoints_;
 };
-
-/// Resolves TransportOptions::eager_bytes (-1 = TRIOLET_EAGER_BYTES env,
-/// default kDefaultEagerBytes).
-std::size_t resolve_eager_bytes(long option);
-
-/// Resolves the backend name ("" = TRIOLET_TRANSPORT env, default "ring").
-std::string resolve_transport_backend(const std::string& option);
-
-/// Builds the configured transport for an `nranks`-rank cluster.
-std::unique_ptr<Transport> make_transport(int nranks,
-                                          const TransportOptions& options);
 
 }  // namespace triolet::net

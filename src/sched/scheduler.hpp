@@ -157,16 +157,7 @@ class PoolDeltaScope {
  public:
   explicit PoolDeltaScope(net::Comm& comm)
       : comm_(comm), pool_(runtime::current_pool()), before_(pool_.stats()) {}
-  ~PoolDeltaScope() {
-    const runtime::PoolStats after = pool_.stats();
-    auto& p = comm_.pool_stats();
-    p.tasks_executed += after.tasks_executed - before_.tasks_executed;
-    p.tasks_stolen += after.tasks_stolen - before_.tasks_stolen;
-    p.splits += after.splits - before_.splits;
-    p.steal_attempts += after.steal_attempts - before_.steal_attempts;
-    p.parks += after.parks - before_.parks;
-    p.wakes += after.wakes - before_.wakes;
-  }
+  ~PoolDeltaScope() { comm_.pool_stats() += pool_.stats() - before_; }
   PoolDeltaScope(const PoolDeltaScope&) = delete;
   PoolDeltaScope& operator=(const PoolDeltaScope&) = delete;
 

@@ -12,6 +12,7 @@
 //   * pair/tuple/array/optional -> element-wise
 //   * user aggregates           -> TRIOLET_SERIALIZE_FIELDS(Type, ...) which
 //     generates the visit function the compiler would have generated
+//     (support/fields.hpp)
 //
 // Everything round-trips through ByteWriter/ByteReader so a value can be
 // shipped over the net:: substrate as an opaque byte payload.
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "serial/bytes.hpp"
+#include "support/fields.hpp"
 
 namespace triolet::serial {
 
@@ -279,13 +281,3 @@ std::size_t wire_size(const T& v) {
 }
 
 }  // namespace triolet::serial
-
-/// Declares the field list of an aggregate for serialization, mimicking the
-/// serializer Triolet's compiler generates from an algebraic data type.
-/// Must be invoked at namespace scope of the type (ADL finds it).
-#define TRIOLET_SERIALIZE_FIELDS(Type, ...)                      \
-  template <typename F>                                          \
-  void triolet_visit_fields(Type& obj, F&& f) {                  \
-    auto& [__VA_ARGS__] = obj;                                   \
-    f(__VA_ARGS__);                                              \
-  }

@@ -124,7 +124,7 @@ double cost_variation(const std::vector<double>& tasks) {
 
 Calibration calibrate_from(const net::CommStats& comm,
                            const net::SchedStats& sched,
-                           const net::NodePoolStats& pool) {
+                           const runtime::PoolStats& pool) {
   Calibration c;
   c.items = sched.items_executed;
   if (sched.items_executed > 0 && sched.busy_seconds > 0.0) {

@@ -29,8 +29,11 @@
 namespace triolet::net {
 struct CommStats;
 struct SchedStats;
-struct NodePoolStats;
 }  // namespace triolet::net
+
+namespace triolet::runtime {
+struct PoolStats;
+}  // namespace triolet::runtime
 
 namespace triolet::sim {
 
@@ -75,7 +78,7 @@ double cost_variation(const std::vector<double>& tasks);
 //
 // The makespan models above take abstract chunk durations and a scalar claim
 // overhead. Calibration closes the loop with the real runtime: one round of
-// a scheduled skeleton leaves enough in CommStats/SchedStats/NodePoolStats
+// a scheduled skeleton leaves enough in CommStats/SchedStats/PoolStats
 // (busy seconds, executed items, request->grant waits, grant payload bytes)
 // to recover the model's compute / byte / latency coefficients, after which
 // makespan_demand / makespan_overlap predict candidate configurations on the
@@ -110,7 +113,7 @@ struct Calibration {
   /// — sizes candidate grants on the byte axis. Residency tokens shrink
   /// this, so the model automatically prices resident grants cheaper.
   double grant_bytes_per_item = 0.0;
-  /// Intra-node pool tasks per outer unit (NodePoolStats) — how finely the
+  /// Intra-node pool tasks per outer unit (CommStats::pool) — how finely the
   /// node-level runtime subdivided the granted work; informational.
   double tasks_per_item = 0.0;
   /// Per-atom cost variation (cost_variation of the measured atom profile
@@ -145,7 +148,7 @@ struct Calibration {
 /// stay at their defaults; callers carry forward previous values.
 Calibration calibrate_from(const net::CommStats& comm,
                            const net::SchedStats& sched,
-                           const net::NodePoolStats& pool);
+                           const runtime::PoolStats& pool);
 
 struct StragglerModel {
   double probability = 0.0;  // chance a task is delayed

@@ -50,7 +50,7 @@ class BandAllocator {
   bool try_lease(net::TagMap& out);
 
   /// Returns a lease to the pool. The caller must have purged the band's
-  /// queued messages first (Mailbox::purge_tag_range) — the allocator
+  /// queued messages first (Transport::purge_tag_range) — the allocator
   /// checks only that the lease is one of its own and currently held.
   void reclaim(const net::TagMap& band);
 

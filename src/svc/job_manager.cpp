@@ -266,7 +266,7 @@ void JobManager::run_group(net::TagMap band,
   // aborted job's unconsumed traffic, including descriptors still parked in
   // ring slots — so the next lessee starts clean and pooled buffers flow
   // back to the allocator.
-  state_.transport->purge_tag_range(band.any_lo(), band.any_hi());
+  state_.transport.purge_tag_range(band.any_lo(), band.any_hi());
   bands_.reclaim(band);
 
   std::int64_t completed = 0, failed = 0;

@@ -164,7 +164,7 @@ TEST(Async, SmallMessagesStayOnTheCopiedPath) {
 }
 
 TEST(Async, DetachedIsendErrorSurfacesAtFlush) {
-  // Fire-and-forget isend into a bounded mailbox: the handle is dropped,
+  // Fire-and-forget isend into a bounded buffer: the handle is dropped,
   // but Cluster::run flushes the engine at body end and the rank fails.
   ClusterOptions opts;
   opts.max_message_bytes = 64;

@@ -1,8 +1,8 @@
 // Tests for the lock-free messaging data plane (net/pool, net/transport,
 // net/ring_transport): buffer-pool accounting, SPSC ring ordering incl. the
-// overflow lane, match-table semantics (per-(src, tag) FIFO, wildcard
-// windows, earliest-wins ties, purge), the eager/rendezvous protocol
-// boundary, ring-vs-mailbox behavioral equivalence, steady-state
+// overflow lane, match-table semantics (per-(src, tag) FIFO, wildcard and
+// job-band windows, earliest-wins ties, purge), the eager/rendezvous
+// protocol boundary, a traffic mix's literal transcript, steady-state
 // allocation-free operation, and band purges racing live traffic in the
 // service layer.
 
@@ -10,9 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -203,6 +201,25 @@ TEST(MatchTableTest, AnyTagHonorsTheWildcardWindow) {
   e = t.find(kAnySource, kAnyTag, 0, kMaxTag);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(t.take(e).tag, 5);
+
+  // A job band's window: an any-source wildcard sees the band's first and
+  // last tag and neither neighbor.
+  const int base = job_band_base(0);
+  const int end = base + kJobBandWidth;
+  for (int tag : {base - 1, base, end - 1, end}) t.insert(msg(1, tag));
+  for (int tag : {base, end - 1}) {
+    e = t.find(kAnySource, kAnyTag, base, end);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(t.take(e).tag, tag);
+  }
+  EXPECT_EQ(t.find(kAnySource, kAnyTag, base, end), nullptr);
+  // Out-of-band traffic is still there for an unwindowed wildcard.
+  for (int tag : {500, base - 1, end}) {
+    e = t.find(kAnySource, kAnyTag, 0, kMaxTag);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(t.take(e).tag, tag);
+  }
+  EXPECT_TRUE(t.empty());
 }
 
 TEST(MatchTableTest, FindAnyTieGoesToTheLowestPatternIndex) {
@@ -235,6 +252,20 @@ TEST(MatchTableTest, PurgeRangeDropsExactlyTheWindow) {
   for (int i : {0, 1, 2, 7, 8, 9}) {
     EXPECT_NE(t.find(0, i, 0, kMaxTag), nullptr) << i;
   }
+
+  // A job band: the purge drops its first and last tag, keeps both
+  // neighbors, and leaves the earlier traffic alone.
+  const int base = job_band_base(1);
+  const int end = base + kJobBandWidth;
+  for (int tag : {base - 1, base, end - 1, end}) t.insert(msg(1, tag));
+  EXPECT_EQ(t.purge_range(base, end), 2u);
+  EXPECT_EQ(t.size(), 8u);
+  for (int tag : {base - 1, end}) {
+    auto* e = t.find(kAnySource, kAnyTag, base - 1, end + 1);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(t.take(e).tag, tag);
+  }
+  EXPECT_EQ(t.find(kAnySource, kAnyTag, base - 1, end + 1), nullptr);
 }
 
 TEST(MatchTableTest, SurvivesRehashUnderManyDistinctKeys) {
@@ -254,7 +285,6 @@ TEST(MatchTableTest, SurvivesRehashUnderManyDistinctKeys) {
 
 TEST(EagerRendezvous, BoundarySizesRoundTripAndAreClassifiedRight) {
   ClusterOptions opts;
-  opts.transport = "ring";  // classification is ring-plane behavior
   opts.eager_bytes = 64;
   auto res = Cluster::run(2, [&](Comm& c) {
     // Exactly 0, threshold, and threshold + 1 raw bytes.
@@ -285,7 +315,6 @@ TEST(EagerRendezvous, BoundarySizesRoundTripAndAreClassifiedRight) {
 
 TEST(EagerRendezvous, ZeroThresholdForcesRendezvousForAllNonEmpty) {
   ClusterOptions opts;
-  opts.transport = "ring";  // classification is ring-plane behavior
   opts.eager_bytes = 0;
   auto res = Cluster::run(2, [&](Comm& c) {
     if (c.rank() == 0) {
@@ -299,14 +328,11 @@ TEST(EagerRendezvous, ZeroThresholdForcesRendezvousForAllNonEmpty) {
   EXPECT_EQ(res.total_stats.msg.rendezvous_msgs, 1);
 }
 
-// -- ring vs mailbox equivalence ----------------------------------------------
+// -- traffic-mix transcript ---------------------------------------------------
 
-/// One deterministic traffic mix: directed tags, a wildcard-source tag, and
-/// an any-tag drain, returning a transcript that must be identical under
-/// every transport backend.
-std::vector<std::string> run_traffic_mix(const std::string& backend) {
-  ClusterOptions opts;
-  opts.transport = backend;
+TEST(TransportTranscript, TrafficMixMatchesItsLiteralTranscript) {
+  // One deterministic traffic mix (directed tags, a wildcard-source tag)
+  // against its literal transcript.
   std::vector<std::string> transcript;
   auto res = Cluster::run(4, [&](Comm& c) {
     if (c.rank() != 0) {
@@ -333,38 +359,14 @@ std::vector<std::string> run_traffic_mix(const std::string& backend) {
     for (int r = 1; r < 4; ++r) wild.push_back(c.recv<int>(kAnySource, 7));
     std::sort(wild.begin(), wild.end());
     for (int v : wild) transcript.push_back("w" + std::to_string(v));
-  }, opts);
-  EXPECT_TRUE(res.ok) << res.error;
-  return transcript;
-}
-
-TEST(TransportEquivalence, RingAndMailboxProduceIdenticalTranscripts) {
-  auto ring = run_traffic_mix("ring");
-  auto mailbox = run_traffic_mix("mailbox");
-  EXPECT_EQ(ring, mailbox);
-  ASSERT_FALSE(ring.empty());
-}
-
-TEST(TransportEquivalence, OrderedReduceIsBitwiseIdenticalAcrossBackends) {
-  // kOrdered determinism must not depend on the data plane: the linear
-  // left fold's parenthesization is fixed by rank order, so the low bits
-  // agree bitwise between backends.
-  auto run_with = [](const std::string& backend) {
-    ClusterOptions opts;
-    opts.transport = backend;
-    double out = 0.0;
-    auto res = Cluster::run(4, [&](Comm& c) {
-      // Mixed magnitudes so any fold-order change flips low bits.
-      const double mine = (c.rank() + 1) * 1e-13 + c.rank() * 1e5;
-      double r = c.reduce_ordered(mine, [](double a, double b) { return a + b; });
-      if (c.rank() == 0) out = r;
-    }, opts);
-    EXPECT_TRUE(res.ok) << res.error;
-    return out;
-  };
-  const double a = run_with("ring");
-  const double b = run_with("mailbox");
-  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  const std::vector<std::string> expected = {
+      "d1:100", "d1:101", "d1:102", "d1:103", "d1:104",
+      "d2:200", "d2:201", "d2:202", "d2:203", "d2:204",
+      "d3:300", "d3:301", "d3:302", "d3:303", "d3:304",
+      "w1",     "w2",     "w3"};
+  EXPECT_EQ(transcript, expected);
 }
 
 // -- steady-state allocation behavior -----------------------------------------
@@ -376,8 +378,6 @@ TEST(SteadyState, PoolMissesGoFlatAfterWarmup) {
   // counter never moves again.
   std::atomic<std::int64_t> misses_after_warmup{-1};
   std::atomic<std::int64_t> misses_final{-1};
-  ClusterOptions opts;
-  opts.transport = "ring";  // the pooled eager path is ring-plane behavior
   auto res = Cluster::run(2, [&](Comm& c) {
     const int peer = 1 - c.rank();
     std::vector<std::byte> ball(512);
@@ -402,7 +402,7 @@ TEST(SteadyState, PoolMissesGoFlatAfterWarmup) {
     if (c.rank() == 0) {
       misses_final.store(c.snapshot_stats().msg.pool_misses);
     }
-  }, opts);
+  });
   ASSERT_TRUE(res.ok) << res.error;
   ASSERT_GE(misses_after_warmup.load(), 0);
   EXPECT_EQ(misses_final.load(), misses_after_warmup.load())

@@ -1,6 +1,7 @@
 // Tests for the message-passing substrate: point-to-point semantics,
 // wildcard matching, collectives, failure propagation (bounded buffers,
-// aborts), checksums, and traffic accounting.
+// aborts), checksums, traffic accounting, and the stats structs' generated
+// arithmetic and serialization.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,11 @@
 #include <map>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "net/cluster.hpp"
-#include "net/mailbox.hpp"
+#include "serial/serialize.hpp"
 
 namespace triolet::net {
 namespace {
@@ -201,43 +203,13 @@ TEST(Cluster, StatsCountMessagesAndBytes) {
   EXPECT_EQ(res.total_stats.bytes_received, 408);
 }
 
-TEST(Mailbox, TryPopMatchesWithoutBlocking) {
-  Mailbox mb;
-  Message out;
-  EXPECT_FALSE(mb.try_pop_match(kAnySource, kAnyTag, out));
-  Message m;
-  m.src = 2;
-  m.tag = 4;
-  mb.push(std::move(m));
-  EXPECT_FALSE(mb.try_pop_match(1, kAnyTag, out));
-  EXPECT_TRUE(mb.try_pop_match(2, 4, out));
-  EXPECT_EQ(mb.size(), 0u);
-}
-
-TEST(Mailbox, InterruptNeverLosesAWakeupRace) {
-  // Regression for a lost-wakeup race: interrupt() used to notify without
-  // holding the mailbox mutex, so the notification could fire in the gap
-  // between a waiter's abort-flag check and its cv wait — the waiter then
-  // blocked forever on a flag that was already raised. Iterating the
-  // handshake makes a regression hang here (and the CI TSan job flags the
-  // unsynchronized notify directly).
-  for (int iter = 0; iter < 200; ++iter) {
-    Mailbox mb;
-    std::atomic<bool> aborted{false};
-    std::thread waiter([&] {
-      EXPECT_THROW((void)mb.pop_match(kAnySource, kAnyTag, aborted),
-                   ClusterAborted);
-    });
-    aborted.store(true);
-    mb.interrupt();
-    waiter.join();
-  }
-}
-
 TEST(Transport, InterruptAllWakesABlockedRingReceiver) {
-  // Same race at the transport level: a ring endpoint parked in pop_match
-  // must observe abort_all() promptly no matter where it is in its
-  // spin/park sequence.
+  // Lost-wakeup regression: a ring endpoint parked in pop_match must
+  // observe abort_all() promptly no matter where it is in its spin/park
+  // sequence. A notify that lands between the waiter's flag check and its
+  // wait would block it forever, so iterating the handshake makes a
+  // regression hang here (and the CI TSan job flags an unsynchronized
+  // notify directly).
   for (int iter = 0; iter < 50; ++iter) {
     ClusterState state(1, 0);
     std::thread waiter([&] {
@@ -474,6 +446,48 @@ TEST_P(ClusterWidth, RingPassesTokenAround) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ClusterWidth, ::testing::Values(1, 2, 3, 5, 8));
+
+// -- stats field lists --------------------------------------------------------
+
+/// Sets the k-th field of `v` (visitor order; nested stats and array
+/// elements flattened) to gen(k).
+template <typename T, typename Gen>
+void fill_fields(T& v, int& k, const Gen& gen) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    v = static_cast<T>(gen(k++));
+  } else if constexpr (serial::has_fields<T>::value) {
+    triolet_visit_fields(v, [&](auto&... f) { (fill_fields(f, k, gen), ...); });
+  } else {
+    for (auto& e : v) fill_fields(e, k, gen);
+  }
+}
+
+template <typename T>
+class StatsFields : public ::testing::Test {};
+using StatsTypes =
+    ::testing::Types<CollectiveStats, SchedStats, runtime::PoolStats,
+                     ResidencyStats, ViewStats, MsgStats, CommStats>;
+TYPED_TEST_SUITE(StatsFields, StatsTypes);
+
+TYPED_TEST(StatsFields, ArithmeticAndSerialRoundTripEveryField) {
+  using T = TypeParam;
+  auto filled = [](auto gen) {
+    T v{};
+    int k = 0;
+    fill_fields(v, k, gen);
+    return v;
+  };
+  const auto bytes = [](const T& v) { return serial::to_bytes(v); };
+  // Distinct small integers, exact in every field type.
+  const T a = filled([](int k) { return k + 1; });
+  const T b = filled([](int k) { return 1000 + 3 * k; });
+  EXPECT_NE(bytes(a), bytes(T{}));
+  // Every field combines with its own counterpart, and only with it.
+  EXPECT_EQ(bytes(a + b), bytes(filled([](int k) { return 1001 + 4 * k; })));
+  EXPECT_EQ(bytes(a - b), bytes(filled([](int k) { return -999 - 2 * k; })));
+  EXPECT_EQ(bytes((a + b) - b), bytes(a));
+  EXPECT_EQ(bytes(serial::from_bytes<T>(bytes(a))), bytes(a));
+}
 
 }  // namespace
 }  // namespace triolet::net

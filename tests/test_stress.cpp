@@ -159,7 +159,7 @@ TEST(StressDeath, CorruptedPayloadIsDetectedAtReceive) {
         m.tag = 1;
         m.payload = serial::to_bytes(42);
         m.checksum = 0xDEADBEEF;  // wrong on purpose
-        state.transport->inject(0, std::move(m));
+        state.transport.inject(0, std::move(m));
         net::Comm comm(0, &state);
         (void)comm.recv<int>(net::kAnySource, 1);
       },

@@ -1,9 +1,10 @@
 // Tests for the service layer (src/svc/): per-job tag-band leasing and the
-// TagMap compression behind it, band-restricted wildcard matching in the
-// mailbox, fair-share grant arbitration, admission/backpressure and
-// batching in the JobManager, per-job stats attribution, failure isolation
-// between concurrent jobs, and the bitwise-determinism contract: a kOrdered
-// job run inside a busy service equals the same job run alone.
+// TagMap compression behind it, fair-share grant arbitration,
+// admission/backpressure and batching in the JobManager, per-job stats
+// attribution, failure isolation between concurrent jobs, and the
+// bitwise-determinism contract: a kOrdered job run inside a busy service
+// equals the same job run alone. Band-restricted wildcard matching and band
+// purges are test_msgplane's MatchTableTest cases.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "dist/skeletons.hpp"
 #include "dist/views.hpp"
 #include "net/cluster.hpp"
-#include "net/mailbox.hpp"
 #include "net/pool.hpp"
 #include "net/tags.hpp"
 #include "support/rng.hpp"
@@ -106,44 +106,6 @@ TEST(TagMap, DistinctLeasesNeverCollide) {
     EXPECT_TRUE(ma < b.any_lo() || ma >= b.any_hi());
     EXPECT_TRUE(mb < a.any_lo() || mb >= a.any_hi());
   }
-}
-
-// -- Mailbox band windows -----------------------------------------------------
-
-TEST(MailboxWindow, WildcardReceiveIsRestrictedToTheBand) {
-  net::Mailbox box;
-  const int base = net::job_band_base(0);
-  box.push(net::Message{0, base - 1, {}, 0});      // below the window
-  box.push(net::Message{0, base + 5, {}, 0});      // inside
-  box.push(net::Message{0, base + net::kJobBandWidth, {}, 0});  // above
-
-  net::Message out;
-  // A windowed wildcard only sees the in-band message.
-  ASSERT_TRUE(box.try_pop_match(net::kAnySource, net::kAnyTag, out, base,
-                                base + net::kJobBandWidth));
-  EXPECT_EQ(out.tag, base + 5);
-  EXPECT_FALSE(box.try_pop_match(net::kAnySource, net::kAnyTag, out, base,
-                                 base + net::kJobBandWidth));
-  // The out-of-band messages are still there for an unwindowed wildcard.
-  ASSERT_TRUE(box.try_pop_match(net::kAnySource, net::kAnyTag, out));
-  EXPECT_EQ(out.tag, base - 1);
-}
-
-TEST(MailboxWindow, PurgeTagRangeDropsExactlyTheBand) {
-  net::Mailbox box;
-  const int base = net::job_band_base(1);
-  box.push(net::Message{0, base - 1, {}, 0});
-  box.push(net::Message{0, base, {}, 0});
-  box.push(net::Message{0, base + net::kJobBandWidth - 1, {}, 0});
-  box.push(net::Message{0, base + net::kJobBandWidth, {}, 0});
-
-  EXPECT_EQ(box.purge_tag_range(base, base + net::kJobBandWidth), 2u);
-  net::Message out;
-  ASSERT_TRUE(box.try_pop_match(net::kAnySource, net::kAnyTag, out));
-  EXPECT_EQ(out.tag, base - 1);
-  ASSERT_TRUE(box.try_pop_match(net::kAnySource, net::kAnyTag, out));
-  EXPECT_EQ(out.tag, base + net::kJobBandWidth);
-  EXPECT_FALSE(box.try_pop_match(net::kAnySource, net::kAnyTag, out));
 }
 
 // -- BandAllocator ------------------------------------------------------------
