@@ -36,14 +36,27 @@ namespace detail {
 template <typename It>
 constexpr bool parallelizable_v = is_indexed_outer_v<It>;
 
-template <typename It>
-bool wants_threads(const It& it) {
+/// Adds every element of `it` into `out` through `bump(h, element)`. Under a
+/// parallel hint each of the pool's threads (its workers plus the calling
+/// thread, which runs chunks of parallel_for too) fills a private copy of
+/// `out`, and the copies are summed into it afterwards.
+template <typename It, typename T, typename Bump>
+void accumulate_histogram(Array1<T>& out, const It& it, const Bump& bump) {
   if constexpr (parallelizable_v<It>) {
-    return it.hint != ParHint::kSeq;
-  } else {
-    (void)it;
-    return false;
+    if (it.hint != ParHint::kSeq) {
+      auto& pool = runtime::current_pool();
+      runtime::PerThread<Array1<T>> priv(pool, out);
+      runtime::parallel_for(pool, 0, it.size(), 0, [&](index_t a, index_t b) {
+        auto& h = priv.local();
+        visit_ordinals(it, a, b, [&](const auto& v) { bump(h, v); });
+      });
+      for (const auto& h : priv.slots()) {
+        for (index_t i = out.lo(); i < out.hi(); ++i) out[i] += h[i];
+      }
+      return;
+    }
   }
+  visit(it, [&](const auto& v) { bump(out, v); });
 }
 
 }  // namespace detail
@@ -248,64 +261,35 @@ void for_each(const It& it, F&& f) {
 // -- histograms -----------------------------------------------------------------
 
 /// Integer histogram: elements are bucket indices in [0, nbins).
-/// Threaded execution privatizes one histogram per worker, then merges.
+/// Threaded execution privatizes one histogram per pool thread, the caller
+/// included, then merges.
 template <typename It>
 Array1<std::int64_t> histogram(index_t nbins, const It& it) {
   static_assert(is_iter_v<It>);
   Array1<std::int64_t> out(nbins, 0);
-  auto bump = [nbins](Array1<std::int64_t>& h, index_t bin) {
-    TRIOLET_ASSERT(bin >= 0 && bin < nbins);
-    h[bin] += 1;
-  };
-  // A one-worker pool gains nothing from privatization; fall through to the
-  // sequential loop and skip the per-slot copies and the merge pass.
-  if (detail::wants_threads(it) && runtime::current_pool().size() > 1) {
-    auto& pool = runtime::current_pool();
-    runtime::PerThread<Array1<std::int64_t>> priv(pool, out);
-    if constexpr (detail::parallelizable_v<It>) {
-      runtime::parallel_for(pool, 0, it.size(), 0, [&](index_t a, index_t b) {
-        auto& h = priv.local();
-        visit_ordinals(it, a, b, [&](index_t bin) { bump(h, bin); });
+  detail::accumulate_histogram(
+      out, it, [nbins](Array1<std::int64_t>& h, index_t bin) {
+        TRIOLET_ASSERT(bin >= 0 && bin < nbins);
+        h[bin] += 1;
       });
-    }
-    for (const auto& h : priv.slots()) {
-      for (index_t i = 0; i < nbins; ++i) out[i] += h[i];
-    }
-    return out;
-  }
-  visit(it, [&](index_t bin) { bump(out, bin); });
   return out;
 }
 
 /// Floating-point histogram (cutcp's core pattern): elements are
 /// (cell, weight) pairs; weights accumulate into cells. Threaded execution
-/// privatizes one grid per worker. Floating-point results may differ from
-/// the sequential order by rounding (accumulation order within a worker
-/// depends on chunk assignment).
+/// privatizes one grid per pool thread, the caller included. Floating-point
+/// results may differ from the sequential order by rounding (accumulation
+/// order within a thread depends on chunk assignment).
 template <typename F, typename It>
 Array1<F> float_histogram(index_t ncells, const It& it) {
   static_assert(is_iter_v<It>);
   Array1<F> out(ncells, F{0});
-  auto bump = [ncells](Array1<F>& h, const auto& cell_weight) {
-    auto [cell, w] = cell_weight;
-    TRIOLET_ASSERT(cell >= 0 && cell < ncells);
-    h[cell] += static_cast<F>(w);
-  };
-  if (detail::wants_threads(it) && runtime::current_pool().size() > 1) {
-    auto& pool = runtime::current_pool();
-    runtime::PerThread<Array1<F>> priv(pool, out);
-    if constexpr (detail::parallelizable_v<It>) {
-      runtime::parallel_for(pool, 0, it.size(), 0, [&](index_t a, index_t b) {
-        auto& h = priv.local();
-        visit_ordinals(it, a, b, [&](const auto& cw) { bump(h, cw); });
+  detail::accumulate_histogram(
+      out, it, [ncells](Array1<F>& h, const auto& cell_weight) {
+        auto [cell, w] = cell_weight;
+        TRIOLET_ASSERT(cell >= 0 && cell < ncells);
+        h[cell] += static_cast<F>(w);
       });
-    }
-    for (const auto& h : priv.slots()) {
-      for (index_t i = 0; i < ncells; ++i) out[i] += h[i];
-    }
-    return out;
-  }
-  visit(it, [&](const auto& cw) { bump(out, cw); });
   return out;
 }
 

@@ -19,7 +19,7 @@ ProgressEngine::~ProgressEngine() {
 }
 
 std::shared_ptr<AsyncOpState> ProgressEngine::post(std::function<void()> op) {
-  auto state = std::make_shared<AsyncOpState>();
+  auto state = std::make_shared<AsyncOpState>(deferred_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.emplace_back(std::move(op), state);
@@ -30,45 +30,42 @@ std::shared_ptr<AsyncOpState> ProgressEngine::post(std::function<void()> op) {
 }
 
 void ProgressEngine::flush() {
-  std::exception_ptr deferred;
   {
     std::unique_lock<std::mutex> lock(mu_);
     drain_cv_.wait(lock, [&] { return in_flight_ == 0; });
-    deferred = std::exchange(deferred_error_, nullptr);
   }
-  if (deferred) std::rethrow_exception(deferred);
+  if (std::exception_ptr e = deferred_->take()) std::rethrow_exception(e);
 }
 
 void ProgressEngine::loop() {
   for (;;) {
-    std::pair<std::function<void()>, std::shared_ptr<AsyncOpState>> item;
+    // `item` and `error` die at the end of this block, before in_flight_
+    // drops: once flush() returns, the engine holds no reference to any op
+    // it ran or to its error, so the rank thread that rethrows a deferred
+    // error also frees it.
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ with a drained queue
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    std::exception_ptr error;
-    if (aborted_ && aborted_->load(std::memory_order_acquire)) {
-      // Cancellation: the cluster died; deliver nothing.
-      error = std::make_exception_ptr(ClusterAborted());
-    } else {
-      try {
-        item.first();
-      } catch (...) {
-        error = std::current_exception();
+      std::pair<std::function<void()>, std::shared_ptr<AsyncOpState>> item;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stop_ with a drained queue
+        item = std::move(queue_.front());
+        queue_.pop_front();
       }
+      std::exception_ptr error;
+      if (aborted_ && aborted_->load(std::memory_order_acquire)) {
+        // Cancellation: the cluster died; deliver nothing.
+        error = std::make_exception_ptr(ClusterAborted());
+      } else {
+        try {
+          item.first();
+        } catch (...) {
+          error = std::current_exception();
+        }
+      }
+      item.second->complete(std::move(error));
+      if (item.second->error) item.second->settle(AsyncOpState::kFailed);
     }
-    // A failed op whose handle was dropped (the engine holds the only
-    // reference) has no one left to observe the error: defer it for the
-    // next flush. When a handle is still held, its holder collects the
-    // error from wait()/test() instead.
-    if (error && item.second.use_count() == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!deferred_error_) deferred_error_ = error;
-    }
-    item.second->complete(error);
     {
       std::lock_guard<std::mutex> lock(mu_);
       in_flight_ -= 1;

@@ -20,7 +20,8 @@
 // bitmask) instead of broadcasting; spinning workers find work on their
 // own. `steal_demand()` exposes whether any worker is currently hungry —
 // the signal the lazy splitter in parallel.hpp uses to decide when a
-// sequential range is worth forking.
+// sequential range is worth forking. Only workers raise it: a thread
+// blocked in `wait` helps run queued tasks but never signals demand.
 //
 // Tasks are submitted into a TaskGroup; `wait` blocks until the group
 // drains, *helping* (running queued tasks) rather than idling, so nested
@@ -164,9 +165,10 @@ class ThreadPool {
   /// could be obtained. Exposed for tests and for cooperative waiting.
   bool try_run_one();
 
-  /// True when at least one worker (or external helper) is hungry: seeking
-  /// work or parked. The lazy splitter forks only while this holds, so a
-  /// fully-busy pool executes ranges sequentially with zero task traffic.
+  /// True when at least one worker is hungry: seeking work or parked. A
+  /// thread helping in wait() does not count. The lazy splitter forks only
+  /// while this holds, so a fully-busy pool executes ranges sequentially
+  /// with zero task traffic.
   bool steal_demand() const {
     return seeking_.load(std::memory_order_relaxed) > 0;
   }
@@ -213,7 +215,7 @@ class ThreadPool {
   // Bit i set => worker i is parked and may need a wakeup. Submitters CAS a
   // bit off before notifying, so each submission wakes at most one worker.
   std::atomic<std::uint64_t> parked_mask_{0};
-  // Number of threads currently hungry (seeking work or parked): the lazy
+  // Number of workers currently hungry (seeking work or parked): the lazy
   // splitter's demand signal.
   std::atomic<int> seeking_{0};
   // Number of threads currently scanning other workers' deques; retired

@@ -184,6 +184,25 @@ TEST(Async, DetachedIsendErrorSurfacesAtFlush) {
   EXPECT_NE(res.error.find("buffer"), std::string::npos);
 }
 
+TEST(Async, HandleDroppedAfterCompletionSurfacesAtFlush) {
+  // The handle is still held when its isend fails (flush_async drains the
+  // engine first), then goes out of scope unobserved: dropping it defers the
+  // error to Cluster::run's final flush, and the rank fails.
+  ClusterOptions opts;
+  opts.max_message_bytes = 64;
+  auto res = Cluster::run(
+      2,
+      [](Comm& c) {
+        if (c.rank() == 0) {
+          PendingSend s = c.isend(1, 1, std::vector<double>(1000, 1.0));
+          c.flush_async();
+        }
+      },
+      opts);
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("buffer"), std::string::npos);
+}
+
 TEST(Async, PendingSendWaitRethrowsDeliveryError) {
   ClusterOptions opts;
   opts.max_message_bytes = 64;

@@ -224,6 +224,33 @@ TEST(FloatHistogram, ParallelMatchesSequentialWithinTolerance) {
   }
 }
 
+TEST(Histogram, OneWorkerPoolRunsOnThePool) {
+  // A one-worker pool has two threads, its worker and the caller, so both
+  // histogram consumers privatize on it. Every chunk a parallel loop runs,
+  // on the caller too, counts in tasks_executed, so the check below does not
+  // depend on which thread ran what.
+  runtime::ThreadPool pool(1);
+  runtime::PoolScope scope(pool);
+  Xoshiro256 rng(7);
+  Array1<index_t> bins(20000);
+  for (index_t i = 0; i < bins.size(); ++i)
+    bins[i] = static_cast<index_t>(rng.below(32));
+  // Integer-valued weights: every summation order gives the same doubles.
+  auto cells = map(from_array(bins), [](index_t b) {
+    return std::pair<index_t, double>(b % 16, static_cast<double>(b));
+  });
+
+  const auto t0 = pool.stats().tasks_executed;
+  auto hp = histogram(32, localpar(from_array(bins)));
+  const auto t1 = pool.stats().tasks_executed;
+  auto fp = float_histogram<double>(16, with_hint(cells, ParHint::kLocal));
+  const auto t2 = pool.stats().tasks_executed;
+  EXPECT_GT(t1, t0);
+  EXPECT_GT(t2, t1);
+  EXPECT_EQ(hp, histogram(32, from_array(bins)));
+  EXPECT_EQ(fp, float_histogram<double>(16, with_hint(cells, ParHint::kSeq)));
+}
+
 // -- hint-driven threading ---------------------------------------------------------
 
 TEST(Hints, DefaultIsSeqAndParSetsDist) {
