@@ -8,8 +8,8 @@
 //                    ceil(log2 P) times); reduce: the root's receives
 //                    (it merges ceil(log2 P) subtree partials)
 //   root_recv_bytes  reduce: bytes arriving at rank 0 — ceil(log2 P)
-//                    payloads for the tree vs P-1 for the linear-order
-//                    reduce_ordered baseline
+//                    payloads, where a linear fold at the root would
+//                    receive P-1
 //
 // Baseline numbers are recorded in bench/BENCH_collectives.json.
 
@@ -87,30 +87,23 @@ BENCHMARK(BM_Coll_Broadcast)
     ->Args({16, 4096})
     ->Args({32, 4096});
 
-void reduce_arrays(net::Comm& c, const std::vector<double>& mine,
-                   bool ordered) {
+void reduce_arrays(net::Comm& c, const std::vector<double>& mine) {
   auto op = [](std::vector<double> a, const std::vector<double>& b) {
     elementwise_add(a, b);
     return a;
   };
-  if (ordered) {
-    benchmark::DoNotOptimize(c.reduce_ordered(mine, op, 0));
-  } else {
-    benchmark::DoNotOptimize(c.reduce(mine, op, 0));
-  }
+  benchmark::DoNotOptimize(c.reduce(mine, op, 0));
 }
 
-void bm_reduce_impl(benchmark::State& state, bool ordered) {
+void BM_Coll_Reduce(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   const auto elems = state.range(1);
   auto mine = payload_of(elems);
-  auto stats = probe(ranks, [&](net::Comm& c) {
-    reduce_arrays(c, mine, ordered);
-  });
+  auto stats = probe(ranks, [&](net::Comm& c) { reduce_arrays(c, mine); });
   const auto& root = stats.at(0).collective(net::Collective::kReduce);
   for (auto _ : state) {
     auto res = net::Cluster::run(ranks, [&](net::Comm& c) {
-      for (int i = 0; i < kOpsPerRun; ++i) reduce_arrays(c, mine, ordered);
+      for (int i = 0; i < kOpsPerRun; ++i) reduce_arrays(c, mine);
     });
     if (!res.ok) state.SkipWithError("cluster failed");
   }
@@ -119,22 +112,7 @@ void bm_reduce_impl(benchmark::State& state, bool ordered) {
   state.counters["depth_msgs"] = static_cast<double>(root.messages_received);
   state.counters["root_recv_bytes"] = static_cast<double>(root.bytes_received);
 }
-
-void BM_Coll_Reduce(benchmark::State& state) { bm_reduce_impl(state, false); }
 BENCHMARK(BM_Coll_Reduce)
-    ->ArgNames({"ranks", "elems"})
-    ->Args({4, 4096})
-    ->Args({8, 4096})
-    ->Args({16, 4096})
-    ->Args({32, 4096})
-    ->Args({16, 65536});
-
-/// The linear combine-order fallback: same transport substrate, but all
-/// P-1 payloads funnel into the root (the pre-tree root-bandwidth cost).
-void BM_Coll_ReduceOrderedBaseline(benchmark::State& state) {
-  bm_reduce_impl(state, true);
-}
-BENCHMARK(BM_Coll_ReduceOrderedBaseline)
     ->ArgNames({"ranks", "elems"})
     ->Args({4, 4096})
     ->Args({8, 4096})

@@ -149,13 +149,15 @@ BulkResult run_bulk(int rounds, std::size_t bytes) {
 /// reorder of the fold flips low bits.
 double ordered_term(int r) { return (r + 1) * 1e-13 + r * 1e5; }
 
-/// kOrdered witness: reduce_ordered's linear left fold over `ranks` ranks.
+/// kOrdered witness: every rank's term gathered to rank 0, which folds them
+/// left to right in rank order.
 double run_ordered_sum(int ranks) {
   double out = 0.0;
   auto res = net::Cluster::run(ranks, [&](net::Comm& c) {
-    const double r = c.reduce_ordered(ordered_term(c.rank()),
-                                      [](double a, double b) { return a + b; });
-    if (c.rank() == 0) out = r;
+    const std::vector<double> terms = c.gather(ordered_term(c.rank()));
+    if (c.rank() != 0) return;
+    out = terms[0];
+    for (std::size_t r = 1; r < terms.size(); ++r) out += terms[r];
   });
   if (!res.ok) {
     std::fprintf(stderr, "ordered failed: %s\n", res.error.c_str());

@@ -163,14 +163,6 @@ CutcpProblem make_cutcp(index_t atoms, index_t nx, index_t ny, index_t nz,
   return p;
 }
 
-double cutcp_fingerprint(const CutcpGrid& g) {
-  double acc = 0;
-  for (index_t i = 0; i < g.size(); ++i) {
-    acc += static_cast<double>(g[i]) * static_cast<double>(1 + i % 11);
-  }
-  return acc;
-}
-
 double cutcp_rel_error(const CutcpGrid& ref, const CutcpGrid& got) {
   TRIOLET_CHECK(ref.size() == got.size(), "grid size mismatch");
   double num = 0, den = 0;

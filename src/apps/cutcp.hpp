@@ -43,7 +43,6 @@ CutcpProblem make_cutcp(index_t atoms, index_t nx, index_t ny, index_t nz,
 
 using CutcpGrid = Array1<float>;  // flattened (z*ny + y)*nx + x
 
-double cutcp_fingerprint(const CutcpGrid& g);
 double cutcp_rel_error(const CutcpGrid& ref, const CutcpGrid& got);
 
 CutcpGrid cutcp_seq_c(const CutcpProblem& p);

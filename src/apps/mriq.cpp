@@ -125,14 +125,6 @@ std::vector<float> mriq_phi_mag(const std::vector<float>& phi_r,
   return {out.begin(), out.end()};
 }
 
-double mriq_fingerprint(const MriqResult& r) {
-  double acc = 0;
-  for (std::size_t i = 0; i < r.qr.size(); ++i) {
-    acc += static_cast<double>(r.qr[i]) - 0.5 * static_cast<double>(r.qi[i]);
-  }
-  return acc;
-}
-
 double mriq_rel_error(const MriqResult& a, const MriqResult& b) {
   TRIOLET_CHECK(a.qr.size() == b.qr.size(), "result size mismatch");
   double num = 0, den = 0;

@@ -52,9 +52,6 @@ MriqProblem make_mriq(index_t pixels, index_t samples, std::uint64_t seed);
 std::vector<float> mriq_phi_mag(const std::vector<float>& phi_r,
                                 const std::vector<float>& phi_i);
 
-/// Scalar fingerprint for cross-variant validation.
-double mriq_fingerprint(const MriqResult& r);
-
 /// Relative L2 error between two results.
 double mriq_rel_error(const MriqResult& a, const MriqResult& b);
 

@@ -67,16 +67,6 @@ SgemmProblem make_sgemm(index_t n, index_t k, index_t m, std::uint64_t seed) {
   return p;
 }
 
-double sgemm_fingerprint(const Array2<float>& c) {
-  double acc = 0;
-  for (index_t y = 0; y < c.rows(); ++y) {
-    for (index_t x = 0; x < c.cols(); ++x) {
-      acc += static_cast<double>(c(y, x)) * (1 + ((y * 31 + x) % 7));
-    }
-  }
-  return acc;
-}
-
 double sgemm_rel_error(const Array2<float>& ref, const Array2<float>& got) {
   TRIOLET_CHECK(ref.rows() == got.rows() && ref.cols() == got.cols(),
                 "result shape mismatch");

@@ -30,7 +30,6 @@ struct SgemmProblem {
 
 SgemmProblem make_sgemm(index_t n, index_t k, index_t m, std::uint64_t seed);
 
-double sgemm_fingerprint(const Array2<float>& c);
 double sgemm_rel_error(const Array2<float>& ref, const Array2<float>& got);
 
 Array2<float> sgemm_seq_c(const SgemmProblem& p);

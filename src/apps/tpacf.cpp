@@ -160,14 +160,6 @@ TpacfProblem make_tpacf(index_t points, index_t random_sets, index_t nbins,
   return p;
 }
 
-double tpacf_fingerprint(const TpacfHist& h) {
-  double acc = 0;
-  for (index_t i = 0; i < h.size(); ++i) {
-    acc += static_cast<double>(h[i]) * static_cast<double>(1 + i % 13);
-  }
-  return acc;
-}
-
 TpacfHist tpacf_seq_c(const TpacfProblem& p) {
   TpacfHist h(3 * p.nbins, 0);
   tpacf_range_c(p, 0, p.outer_size(), &h[0]);

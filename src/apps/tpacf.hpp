@@ -45,8 +45,6 @@ TpacfProblem make_tpacf(index_t points, index_t random_sets, index_t nbins,
 
 using TpacfHist = Array1<std::int64_t>;  // 3 * nbins cells: DD | DR | RR
 
-double tpacf_fingerprint(const TpacfHist& h);
-
 TpacfHist tpacf_seq_c(const TpacfProblem& p);
 TpacfHist tpacf_triolet(const TpacfProblem& p, core::ParHint hint);
 TpacfHist tpacf_triolet_dist(net::Comm& comm, const TpacfProblem& p);

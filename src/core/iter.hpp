@@ -66,7 +66,6 @@ struct IdxNestIter {
   D domain() const { return ix.dom; }
   index_t size() const { return ix.size(); }  // number of *outer* tasks
   InnerIter inner_at(IndexOf<D> i) const { return ix.at(i); }
-  InnerIter inner_at_ordinal(index_t ord) const { return ix.at_ordinal(ord); }
 
   IdxNestIter slice(D sub) const { return IdxNestIter{ix.slice(sub), hint}; }
 };

@@ -143,9 +143,6 @@ class SegmentedDistArray {
   index_t value_count() const { return offsets_.array()[nsegs_]; }
   index_t value_grain() const { return value_grain_; }
 
-  const Array1<index_t>& offsets_array() const { return offsets_.array(); }
-  const Array1<T>& values_array() const { return values_.array(); }
-
   /// The value-balanced segmented iteration domain (outer units carry their
   /// value weights as the scheduler's cost-variance hint).
   core::SegSeq domain() const {

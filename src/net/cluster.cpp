@@ -6,15 +6,14 @@
 #include <vector>
 
 #include "net/tags.hpp"
-#include "support/macros.hpp"
 
 namespace triolet::net {
 
 ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
                            const ClusterOptions& options) {
-  // Startup audit: every reserved tag band (user, scheduler, async-progress,
-  // group relay, collectives) must be pairwise disjoint, or wildcard-free
-  // matching could steal another subsystem's messages.
+  // Startup audit: every reserved tag band (user, scheduler, residency,
+  // collectives) must be pairwise disjoint, or wildcard-free matching could
+  // steal another subsystem's messages.
   assert_tag_bands_disjoint();
   ClusterState state(nranks, TransportOptions{
                                  .max_message_bytes = options.max_message_bytes,
@@ -57,14 +56,6 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
   }
   for (auto& t : threads) t.join();
   return result;
-}
-
-CommStats Cluster::run_or_abort(int nranks,
-                                const std::function<void(Comm&)>& body,
-                                const ClusterOptions& options) {
-  ClusterResult r = run(nranks, body, options);
-  TRIOLET_CHECK(r.ok, r.error.c_str());
-  return r.total_stats;
 }
 
 }  // namespace triolet::net

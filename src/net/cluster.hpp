@@ -40,11 +40,6 @@ class Cluster {
   /// Runs `body(comm)` on `nranks` SPMD rank threads and joins them.
   static ClusterResult run(int nranks, const std::function<void(Comm&)>& body,
                            const ClusterOptions& options = {});
-
-  /// Like run(), but treats failure as a programming error.
-  static CommStats run_or_abort(int nranks,
-                                const std::function<void(Comm&)>& body,
-                                const ClusterOptions& options = {});
 };
 
 }  // namespace triolet::net

@@ -63,17 +63,6 @@ void Comm::send_bytes(int dst, int tag, std::vector<std::byte> payload) {
                    active_collective_);
 }
 
-PendingSend Comm::isend_bytes(int dst, int tag, std::vector<std::byte> payload) {
-  check_dst(dst);
-  auto buf = std::make_shared<std::vector<std::byte>>(std::move(payload));
-  return PendingSend(engine().post([this, dst, tag, buf] {
-    const std::uint64_t sum = serial::checksum(*buf);
-    deliver_segments(dst, tag,
-                     serial::SegmentedBytes::from_flat(std::move(*buf), sum),
-                     /*collective=*/-1, kEngineShard);
-  }));
-}
-
 void Comm::finish_recv(const Message& m, bool attribute_collective) {
   TRIOLET_CHECK(serial::checksum(m.payload) == m.checksum,
                 "message payload failed checksum validation");
@@ -219,20 +208,6 @@ PendingSend Comm::isend_segments(int dst, int tag, serial::SegmentedBytes sg,
         deliver_segments(dst, tag, std::move(*holder), /*collective=*/-1,
                          kEngineShard);
       }));
-}
-
-Comm::Group Comm::split(int color) {
-  std::vector<int> colors = allgather(color);
-  std::vector<int> members;
-  int my_group_rank = -1;
-  for (int r = 0; r < size(); ++r) {
-    if (colors[static_cast<std::size_t>(r)] == color) {
-      if (r == rank_) my_group_rank = static_cast<int>(members.size());
-      members.push_back(r);
-    }
-  }
-  TRIOLET_CHECK(my_group_rank >= 0, "split: caller missing from its group");
-  return Group(this, std::move(members), my_group_rank);
 }
 
 void Comm::barrier() {

@@ -21,8 +21,7 @@
 // (each internal node computes op(lower-rank block, higher-rank block)), so
 // floating-point results are bitwise reproducible run-to-run and, for
 // allreduce, bitwise identical on every rank. The combine *parenthesization*
-// differs from the old linear rank-order fold; `reduce_ordered` keeps the
-// linear left fold for callers that assert the historical rounding.
+// differs from a linear rank-order fold.
 
 #include <array>
 #include <cstdint>
@@ -45,8 +44,8 @@
 
 namespace triolet::net {
 // Reserved tag constants (kFirstReservedTag, kTagSchedBand / Request /
-// Grant, kTagAsyncBand, kTagGroupBand) live in net/tags.hpp, one registry
-// audited by assert_tag_bands_disjoint() at Cluster startup.
+// Grant, kTagResidencyBand) live in net/tags.hpp, one registry audited by
+// assert_tag_bands_disjoint() at Cluster startup.
 
 /// Collective kinds tracked by the per-collective traffic counters.
 enum class Collective : int {
@@ -164,8 +163,7 @@ struct CommStats {
   std::int64_t bytes_copied = 0;
 
   /// Per-collective breakdown, indexed by Collective. Traffic of a nested
-  /// collective (e.g. the allgather inside split()) is attributed to the
-  /// outermost one.
+  /// collective is attributed to the outermost one.
   std::array<CollectiveStats, kNumCollectives> collectives{};
 
   /// Demand-driven scheduler attribution (requests/grants/busy/idle).
@@ -245,9 +243,6 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return state_->nranks; }
 
-  /// This Comm's tag map (identity outside the service layer).
-  const TagMap& tag_map() const { return tags_; }
-
   /// Stable identity of the tag lease (0 outside the service layer): what
   /// the sched layer folds into tune keys so concurrent jobs' tuners and
   /// models never share state by accident.
@@ -297,9 +292,6 @@ class Comm {
     }));
   }
 
-  /// Asynchronous raw-bytes send.
-  PendingSend isend_bytes(int dst, int tag, std::vector<std::byte> payload);
-
   /// Asynchronous send of a pre-built scatter-gather payload: the gather of
   /// borrowed segments runs on the engine thread (overlapping the caller's
   /// compute), and `keepalive` is held until delivery so whatever the
@@ -347,15 +339,6 @@ class Comm {
     auto m = try_recv_message(src, tag);
     if (!m) return std::nullopt;
     return serial::from_bytes<T>(m->payload);
-  }
-
-  /// Deadlock-free pairwise exchange (MPI_Sendrecv): sends `v` to `peer`
-  /// and receives the peer's value under the same tag. Safe because sends
-  /// are buffered.
-  template <typename T>
-  T exchange(int peer, int tag, const T& v) {
-    send(peer, tag, v);
-    return recv<T>(peer, tag);
   }
 
   // -- collectives ------------------------------------------------------------
@@ -459,8 +442,8 @@ class Comm {
   /// interior node computes op(lower-rank block, higher-rank block) over
   /// contiguous rank blocks, so the combine tree is fixed and results are
   /// bitwise deterministic run-to-run (for associative ops it equals the
-  /// linear fold; floating-point parenthesization differs — see
-  /// reduce_ordered). Non-root ranks get a default T.
+  /// linear fold; floating-point parenthesization differs). Non-root ranks
+  /// get a default T.
   template <typename T, typename Op>
   T reduce(const T& v, Op op, int root = 0) {
     CollectiveScope scope(*this, Collective::kReduce);
@@ -479,22 +462,6 @@ class Comm {
         acc = op(std::move(acc), recv<T>(world_of(vrank + mask, root),
                                          kTagReduce + round));
       }
-    }
-    return acc;
-  }
-
-  /// The pre-tree reduction: a strict left fold in ascending rank order,
-  /// kept for callers that assert the historical floating-point rounding.
-  /// Transport is the tree gather, so the critical path is still
-  /// O(log P) messages, but the root receives all P-1 payloads.
-  template <typename T, typename Op>
-  T reduce_ordered(const T& v, Op op, int root = 0) {
-    CollectiveScope scope(*this, Collective::kReduce);
-    std::vector<T> all = gather(v, root);
-    if (rank_ != root) return T{};
-    T acc = std::move(all[0]);
-    for (std::size_t r = 1; r < all.size(); ++r) {
-      acc = op(std::move(acc), std::move(all[r]));
     }
     return acc;
   }
@@ -707,17 +674,6 @@ class Comm {
   /// for request-polling loops that do not go through a blocking receive.
   void poll_services();
 
-  // -- sub-communicators --------------------------------------------------------
-
-  /// Handle to a subgroup of ranks created by split(); relays typed
-  /// messages and group collectives through the parent communicator.
-  class Group;
-
-  /// Partitions ranks by `color` (MPI_Comm_split with key = rank): all
-  /// ranks must call it collectively; each receives the group of its color,
-  /// with group ranks assigned in ascending world-rank order.
-  Group split(int color);
-
  private:
   // Reserved tag layout: one 64-tag band per collective, one tag per tree
   // round within the band, so concurrent rounds of one collective can never
@@ -914,140 +870,5 @@ std::size_t wait_any(std::span<PendingRecv> recvs);
 inline void wait_all(std::span<PendingRecv> recvs) {
   for (auto& r : recvs) r.wait();
 }
-
-/// A subgroup view over a parent communicator: translates group ranks to
-/// world ranks and runs group-scoped point-to-point and collectives. Tags
-/// are offset into a reserved band so group traffic cannot collide with the
-/// parent's user tags. Group collectives mirror the parent's tree
-/// algorithms (binomial broadcast/reduce/gather, dissemination barrier,
-/// fixed-tree allreduce) scoped to the group's ranks.
-class Comm::Group {
- public:
-  Group(Comm* parent, std::vector<int> members, int my_group_rank)
-      : parent_(parent),
-        members_(std::move(members)),
-        rank_(my_group_rank) {}
-
-  int rank() const { return rank_; }
-  int size() const { return static_cast<int>(members_.size()); }
-  int world_rank(int group_rank) const {
-    TRIOLET_ASSERT(group_rank >= 0 && group_rank < size());
-    return members_[static_cast<std::size_t>(group_rank)];
-  }
-
-  template <typename T>
-  void send(int dst, int tag, const T& v) {
-    parent_->send(world_rank(dst), group_tag(tag), v);
-  }
-
-  template <typename T>
-  T recv(int src, int tag) {
-    return parent_->recv<T>(world_rank(src), group_tag(tag));
-  }
-
-  /// Group-scoped binomial-tree reduce to group rank 0, combining
-  /// contiguous group-rank blocks in fixed tree order (same determinism
-  /// contract as Comm::reduce).
-  template <typename T, typename Op>
-  T reduce(const T& v, Op op) {
-    CollectiveScope scope(*parent_, Collective::kReduce);
-    const int p = size();
-    T acc = v;
-    int round = 0;
-    for (int mask = 1; mask < p; mask <<= 1, ++round) {
-      if (rank_ & mask) {
-        send(rank_ - mask, kGroupReduce + round, acc);
-        return T{};
-      }
-      if (rank_ + mask < p) {
-        acc = op(std::move(acc), recv<T>(rank_ + mask, kGroupReduce + round));
-      }
-    }
-    return acc;
-  }
-
-  /// Group-scoped binomial-tree broadcast from group rank 0.
-  template <typename T>
-  void broadcast(T& v) {
-    CollectiveScope scope(*parent_, Collective::kBroadcast);
-    const int p = size();
-    if (p == 1) return;
-    int mask = 1, round = 0;
-    if (rank_ != 0) {
-      for (; mask < p; mask <<= 1, ++round) {
-        if (rank_ & mask) {
-          v = recv<T>(rank_ - mask, kGroupBcast + round);
-          break;
-        }
-      }
-    } else {
-      for (; mask < p; mask <<= 1) ++round;
-    }
-    for (mask >>= 1, --round; mask > 0; mask >>= 1, --round) {
-      if (rank_ + mask < p) send(rank_ + mask, kGroupBcast + round, v);
-    }
-  }
-
-  /// Group-scoped gather to group rank 0 (binomial subtree bundles).
-  template <typename T>
-  std::vector<T> gather(const T& v) {
-    CollectiveScope scope(*parent_, Collective::kGather);
-    const int p = size();
-    std::vector<T> sub;
-    sub.push_back(v);
-    int round = 0;
-    for (int mask = 1; mask < p; mask <<= 1, ++round) {
-      if (rank_ & mask) {
-        send(rank_ - mask, kGroupGather + round, sub);
-        return {};
-      }
-      if (rank_ + mask < p) {
-        auto child = recv<std::vector<T>>(rank_ + mask, kGroupGather + round);
-        sub.insert(sub.end(), std::make_move_iterator(child.begin()),
-                   std::make_move_iterator(child.end()));
-      }
-    }
-    return sub;
-  }
-
-  /// Group-scoped allreduce: tree reduce to group rank 0 plus tree
-  /// broadcast (2·ceil(log2 P) critical path; bitwise identical on every
-  /// group rank).
-  template <typename T, typename Op>
-  T allreduce(const T& v, Op op) {
-    CollectiveScope scope(*parent_, Collective::kAllreduce);
-    T acc = reduce(v, op);
-    broadcast(acc);
-    return acc;
-  }
-
-  /// Group-scoped dissemination barrier.
-  void barrier() {
-    CollectiveScope scope(*parent_, Collective::kBarrier);
-    const int p = size();
-    int round = 0;
-    for (int dist = 1; dist < p; dist <<= 1, ++round) {
-      send((rank_ + dist) % p, kGroupBarrier + round, std::uint8_t{0});
-      (void)recv<std::uint8_t>((rank_ - dist + p) % p, kGroupBarrier + round);
-    }
-  }
-
- private:
-  // The top tags of the group band are reserved for the collectives: one
-  // 64-tag sub-band per collective, one tag per tree round.
-  static constexpr int kGroupCollBase = (1 << 20) - 512;
-  static constexpr int kGroupReduce = kGroupCollBase + 0 * 64;
-  static constexpr int kGroupBcast = kGroupCollBase + 1 * 64;
-  static constexpr int kGroupGather = kGroupCollBase + 2 * 64;
-  static constexpr int kGroupBarrier = kGroupCollBase + 3 * 64;
-  static int group_tag(int tag) {
-    TRIOLET_CHECK(tag >= 0 && tag < (1 << 20), "group tag out of range");
-    return kTagGroupBand + tag;  // audited band below kFirstReservedTag
-  }
-
-  Comm* parent_;
-  std::vector<int> members_;
-  int rank_;
-};
 
 }  // namespace triolet::net

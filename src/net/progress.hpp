@@ -164,12 +164,6 @@ class PendingSend {
   std::shared_ptr<AsyncOpState> state_;
 };
 
-/// Waits for every send in `sends` (rethrows the first error encountered).
-template <typename Sends>
-void wait_all_sends(Sends& sends) {
-  for (auto& s : sends) s.wait();
-}
-
 class ProgressEngine {
  public:
   /// `aborted` is the cluster's abort flag: queued operations observed

@@ -24,8 +24,8 @@
 //               RzNode holding the sender's flat vector, placement-new'd in
 //               a small slab): ownership passes, nothing is re-copied, and
 //               the sender never blocks — buffered-send semantics are
-//               preserved exactly (exchange() and the symmetric collectives
-//               depend on them).
+//               preserved exactly (the symmetric collectives depend on
+//               them).
 //
 // Ring overflow never blocks or drops: each pair also has a mutex-guarded
 // unbounded overflow deque. Once a send overflows, subsequent sends append
@@ -114,22 +114,9 @@ class SpscRing {
   /// Consumer side: pops the oldest descriptor (ring first, then the
   /// overflow deque). Returns false when empty.
   bool pop(RingDesc& out) {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    if (h != tail_.load(std::memory_order_acquire)) {
-      out = slots_[h & (kRingSlots - 1)];
-      head_.store(h + 1, std::memory_order_release);
-      return true;
-    }
+    if (pop_ring(out)) return true;
     if (!ov_active_.load(std::memory_order_relaxed)) return false;
-    std::lock_guard<std::mutex> lock(ov_mu_);
-    if (overflow_.empty()) {
-      ov_active_.store(false, std::memory_order_relaxed);
-      return false;
-    }
-    out = overflow_.front();
-    overflow_.pop_front();
-    if (overflow_.empty()) ov_active_.store(false, std::memory_order_relaxed);
-    return true;
+    return pop_overflow(out);
   }
 
   /// Cheap maybe-nonempty probe for the consumer's park predicate (exact
@@ -141,6 +128,33 @@ class SpscRing {
   }
 
  private:
+  friend struct SpscRingTestPeer;  // drives pop_overflow in isolation
+
+  bool pop_ring(RingDesc& out) {
+    const std::uint64_t h = head_.load(std::memory_order_relaxed);
+    if (h == tail_.load(std::memory_order_acquire)) return false;
+    out = slots_[h & (kRingSlots - 1)];
+    head_.store(h + 1, std::memory_order_release);
+    return true;
+  }
+
+  /// The locked half of pop(). Between pop()'s empty ring read and this
+  /// lock, the producer may have filled the ring and spilled into the
+  /// deque; every ring entry is older than every deque entry, so the ring
+  /// is read again first or a spilled descriptor would overtake it.
+  bool pop_overflow(RingDesc& out) {
+    std::lock_guard<std::mutex> lock(ov_mu_);
+    if (pop_ring(out)) return true;
+    if (overflow_.empty()) {
+      ov_active_.store(false, std::memory_order_relaxed);
+      return false;
+    }
+    out = overflow_.front();
+    overflow_.pop_front();
+    if (overflow_.empty()) ov_active_.store(false, std::memory_order_relaxed);
+    return true;
+  }
+
   bool try_push_ring(const RingDesc& d) {
     const std::uint64_t t = tail_.load(std::memory_order_relaxed);
     if (t - head_.load(std::memory_order_acquire) == kRingSlots) return false;

@@ -3,14 +3,12 @@
 // Reserved tag-band registry and audit.
 //
 // Several subsystems reserve tag regions out of the user tag space: the
-// demand-driven scheduler (1 << 26), the sub-communicator relay (1 << 27),
-// and the collectives (1 << 28 and up), plus the async progress-engine
-// control band added with isend/irecv and the slice-residency protocol
-// band. Each band used to be declared where
-// it was consumed; this registry lists every band in one table so a new
-// reservation that overlaps an existing one fails fast at Cluster startup
-// (assert_tag_bands_disjoint) instead of surfacing as cross-matched
-// messages under load.
+// demand-driven scheduler (1 << 26), the slice-residency protocol band
+// above it, and the collectives (1 << 28 and up). Each band used to be
+// declared where it was consumed; this registry lists every band in one
+// table so a new reservation that overlaps an existing one fails fast at
+// Cluster startup (assert_tag_bands_disjoint) instead of surfacing as
+// cross-matched messages under load.
 
 #include <limits>
 #include <span>
@@ -64,12 +62,6 @@ inline constexpr int sched_grant_tag(int epoch) {
 inline constexpr int kTagSchedRequest = kTagSchedBand + 0;
 inline constexpr int kTagSchedGrant = kTagSchedBand + 1;
 
-// Async progress-engine control band: reserved for internal messages of the
-// isend/irecv machinery (e.g. a future rendezvous protocol for payloads
-// larger than the eager limit). No user or collective traffic may use it.
-inline constexpr int kTagAsyncBand = (1 << 26) + (1 << 16);
-inline constexpr int kTagAsyncBandEnd = kTagAsyncBand + 64;
-
 // Residency (slice-cache) protocol band: when a receiver's cached slice
 // misses or fails checksum validation, it sends a fetch request root-ward
 // under kTagResidentFetch (served with kAnySource, like sched requests) and
@@ -78,11 +70,6 @@ inline constexpr int kTagResidencyBand = (1 << 26) + (1 << 17);
 inline constexpr int kTagResidentFetch = kTagResidencyBand + 0;
 inline constexpr int kTagResidentData = kTagResidencyBand + 1;
 inline constexpr int kTagResidencyBandEnd = kTagResidencyBand + 64;
-
-// Sub-communicator relay band: Comm::Group offsets group tags into
-// [1 << 27, 1 << 27 + 1 << 20), with group collectives at the top of it.
-inline constexpr int kTagGroupBand = 1 << 27;
-inline constexpr int kTagGroupBandEnd = (1 << 27) + (1 << 20);
 
 /// Collective rounds start here: one 64-tag band per collective kind, one
 /// tag per tree round within the band.
@@ -94,9 +81,7 @@ inline std::span<const TagBand> reserved_tag_bands() {
   static constexpr TagBand kBands[] = {
       {"user", 0, kUserTagLimit},
       {"sched", kTagSchedBand, kTagSchedBandEnd},
-      {"async-progress", kTagAsyncBand, kTagAsyncBandEnd},
       {"residency", kTagResidencyBand, kTagResidencyBandEnd},
-      {"group-relay", kTagGroupBand, kTagGroupBandEnd},
       {"collectives", kFirstReservedTag, kCollectiveBandsEnd},
   };
   return kBands;
@@ -122,14 +107,10 @@ inline constexpr int kJobUserTagLimit = 1 << 20;
 // Each width is derived from the canonical band constants above, so adding
 // tags to a reserved band automatically widens its compressed image.
 inline constexpr int kJobSchedOffset = kJobUserTagLimit;
-inline constexpr int kJobAsyncOffset =
-    kJobSchedOffset + (kTagSchedBandEnd - kTagSchedBand);
 inline constexpr int kJobResidencyOffset =
-    kJobAsyncOffset + (kTagAsyncBandEnd - kTagAsyncBand);
-inline constexpr int kJobGroupOffset =
-    kJobResidencyOffset + (kTagResidencyBandEnd - kTagResidencyBand);
+    kJobSchedOffset + (kTagSchedBandEnd - kTagSchedBand);
 inline constexpr int kJobCollectiveOffset =
-    kJobGroupOffset + (kTagGroupBandEnd - kTagGroupBand);
+    kJobResidencyOffset + (kTagResidencyBandEnd - kTagResidencyBand);
 inline constexpr int kJobBandUsed =
     kJobCollectiveOffset + (kCollectiveBandsEnd - kFirstReservedTag);
 
@@ -181,14 +162,8 @@ struct TagMap {
     if (tag >= kTagSchedBand && tag < kTagSchedBandEnd) {
       return base + kJobSchedOffset + (tag - kTagSchedBand);
     }
-    if (tag >= kTagAsyncBand && tag < kTagAsyncBandEnd) {
-      return base + kJobAsyncOffset + (tag - kTagAsyncBand);
-    }
     if (tag >= kTagResidencyBand && tag < kTagResidencyBandEnd) {
       return base + kJobResidencyOffset + (tag - kTagResidencyBand);
-    }
-    if (tag >= kTagGroupBand && tag < kTagGroupBandEnd) {
-      return base + kJobGroupOffset + (tag - kTagGroupBand);
     }
     if (tag >= kFirstReservedTag && tag < kCollectiveBandsEnd) {
       return base + kJobCollectiveOffset + (tag - kFirstReservedTag);

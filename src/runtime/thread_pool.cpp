@@ -22,13 +22,8 @@ int env_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int env_spin_us() {
-  if (const char* s = std::getenv("TRIOLET_SPIN_US")) {
-    int n = std::atoi(s);
-    if (n >= 0) return n;
-  }
-  return 50;
-}
+/// How long a hungry worker spins (with backoff) before parking.
+constexpr std::chrono::microseconds kIdleSpin{50};
 
 // Brief pause inside spin loops; yields the core on oversubscribed hosts.
 inline void cpu_relax(int round) {
@@ -52,7 +47,6 @@ TaskGroup::~TaskGroup() {
 
 ThreadPool::ThreadPool(int nthreads) {
   TRIOLET_CHECK(nthreads >= 1, "thread pool needs at least one worker");
-  spin_us_ = env_spin_us();
   workers_.reserve(static_cast<std::size_t>(nthreads));
   for (int i = 0; i < nthreads; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -265,8 +259,7 @@ void ThreadPool::worker_loop(int idx) {
     seeking_.fetch_add(1, std::memory_order_seq_cst);
     bool got = false;
     while (!got && !stop_.load(std::memory_order_acquire)) {
-      const auto spin_deadline =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(spin_us_);
+      const auto spin_deadline = std::chrono::steady_clock::now() + kIdleSpin;
       int round = 0;
       while (!got && std::chrono::steady_clock::now() < spin_deadline) {
         if (stop_.load(std::memory_order_acquire)) break;

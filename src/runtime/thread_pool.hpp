@@ -14,8 +14,8 @@
 // range descriptors, so steady-state loop execution performs no heap
 // allocation per task.
 //
-// Idle workers spin briefly (TRIOLET_SPIN_US microseconds, exponential
-// backoff with yields), then park on a per-worker condition variable.
+// Idle workers spin briefly (50 microseconds, exponential backoff with
+// yields), then park on a per-worker condition variable.
 // Submissions wake exactly one parked worker (targeted wakeup via a parked
 // bitmask) instead of broadcasting; spinning workers find work on their
 // own. `steal_demand()` exposes whether any worker is currently hungry —
@@ -222,8 +222,6 @@ class ThreadPool {
   // deque buffers are only reclaimed when this is 0.
   std::atomic<int> thieves_{0};
   std::atomic<bool> stop_{false};
-
-  int spin_us_ = 50;  // TRIOLET_SPIN_US
 
   std::atomic<std::int64_t> n_executed_{0};
   std::atomic<std::int64_t> n_stolen_{0};

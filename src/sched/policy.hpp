@@ -69,8 +69,7 @@ enum class SchedulePolicy { kStatic, kGuided, kDynamic, kAuto };
 ///             which chunk.
 ///   kOrdered  per-atom partials are gathered and left-folded in atom
 ///             order at the root: bitwise reproducible run-to-run AND
-///             across policies (the demand-driven analogue of
-///             Comm::reduce_ordered).
+///             across policies.
 enum class CombineMode { kTree, kOrdered };
 
 /// Hook the root's grant-service loop calls immediately before issuing
@@ -109,13 +108,6 @@ struct SchedOptions {
   /// unchanged (same pool, same grain), so kOrdered results stay bitwise
   /// identical with streaming on or off.
   bool streaming = false;
-  /// Slice residency for grant payloads: when the iterator draws on a
-  /// resident source (dist::DistArray / dist::DistContext) and the slice
-  /// cache is enabled (TRIOLET_SLICE_CACHE_BYTES > 0), grants whose task
-  /// slice the worker already holds carry a checksum token instead of the
-  /// payload. Purely a transport optimization: the decoded task bytes are
-  /// identical, so kOrdered results stay bitwise identical on or off.
-  bool residency = true;
   /// Tuner state for SchedulePolicy::kAuto. When null, run_chunks keeps a
   /// registry of AutoTuners on the Comm keyed by `tune_key`, so iterative
   /// jobs accumulate measurements across rounds with zero per-workload

@@ -201,12 +201,14 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
   const int tag_request = net::sched_request_tag(epoch);
   const int tag_grant = net::sched_grant_tag(epoch);
 
-  // Grant-payload residency (see SchedOptions::residency): identical on
-  // every rank — the iterator type, the option, and the process-global
-  // budget are all SPMD-uniform — so sender and receivers agree on whether
-  // the protocol is in play without negotiating.
-  const bool resident = core::iter_uses_residency_v<It> && opts.residency &&
-                        comm.residency_enabled();
+  // Grant-payload residency: with a resident source (dist::DistArray /
+  // dist::DistContext) and a nonzero slice-cache budget, a grant whose task
+  // slice the worker already holds carries a checksum token instead of the
+  // payload; decoded task bytes, and so kOrdered results, are unchanged.
+  // The iterator type and the process-global budget are SPMD-uniform, so
+  // sender and receivers agree on it without negotiating.
+  const bool resident =
+      core::iter_uses_residency_v<It> && comm.residency_enabled();
 
   if (comm.rank() != 0) {
     // Decode grants under this rank's slice cache for the whole loop: an
@@ -564,7 +566,7 @@ auto tree_reduce(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
 /// assignment, and under streaming the completion order too).
 /// kOrdered: one partial per atom, gathered and left-folded in atom order —
 /// bitwise identical for all three policies and run-to-run (for a fixed
-/// per-node thread count), the scheduler analogue of reduce_ordered.
+/// per-node thread count).
 template <typename MakeIter, typename T, typename Op>
 T reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
          const SchedOptions& opts = {}) {

@@ -10,6 +10,17 @@ namespace triolet::sched {
 
 namespace {
 
+/// Grain ladder half-width in octaves around the resolve_grain default: 2
+/// explores {g/4, g/2, g, 2g, 4g}. Only open for kTree consumers — a
+/// kOrdered consumer pins the grain (see tuner.hpp).
+constexpr int kGrainOctaves = 2;
+
+/// Measured-over-predicted ratio past which the model is mistrusted and the
+/// tuner switches to auditing real rounds (see tuner.hpp). It only fires on
+/// gross misses — cold shipping, oversubscription — never on ordinary
+/// timing noise.
+constexpr double kModelMistrust = 3.0;
+
 /// One rank's contribution to a round fit: its executed runs, its wall
 /// time for the round, the job extent (root only; -1 elsewhere), and its
 /// counter delta. Allgathered so every rank fits the identical dataset.
@@ -170,7 +181,6 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   // so skipping the collective here is globally consistent.
   if (mode_ == PickMode::kCommitted) {
     rounds_ += 1;
-    measured_ = wall_seconds;  // rank-local; informational only
     return;
   }
   RoundSample mine;
@@ -204,7 +214,6 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     runs.insert(runs.end(), s.runs.begin(), s.runs.end());
   }
   rounds_ += 1;
-  measured_ = max_wall;
   if (extent <= 0 || runs.empty()) return;  // empty job: nothing to fit
   if (extent_ >= 0 && extent != extent_) {
     // A different job shape under the same key: every observation and any
@@ -279,8 +288,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   } else {
     const index_t g0 = resolve_grain(extent, p, 0, domain_cv);
     const int extra_fine = cal_.cost_cv > 1.0 ? 1 : 0;
-    for (int o = -(cfg_.grain_octaves + extra_fine); o <= cfg_.grain_octaves;
-         ++o) {
+    for (int o = -(kGrainOctaves + extra_fine); o <= kGrainOctaves; ++o) {
       index_t g = o < 0 ? std::max<index_t>(1, g0 >> (-o)) : g0 << o;
       ladder.push_back(std::clamp<index_t>(g, 1, std::max<index_t>(1, extent)));
     }
@@ -296,11 +304,9 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     bool prefetch;
     bool streaming;
   };
-  std::vector<Variant> variants{{true, false}};
-  if (cfg_.explore_prefetch) variants.push_back({false, false});
-  if (cfg_.explore_streaming) variants.push_back({true, true});
+  constexpr Variant kVariants[] = {{true, false}, {false, false}, {true, true}};
 
-  cands_.clear();
+  std::vector<TunedCandidate> cands;
   std::map<index_t, std::vector<double>> atoms_by_grain;
   auto atoms_for = [&](index_t g) -> const std::vector<double>& {
     auto it = atoms_by_grain.find(g);
@@ -316,13 +322,13 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
       if (policy == SchedulePolicy::kStatic) {
         TunedCandidate c0{policy, g, true, false, 0.0};
         c0.predicted_seconds = predict(atoms_for(g), cal_, p, extent, c0);
-        cands_.push_back(c0);
+        cands.push_back(c0);
         continue;
       }
-      for (const Variant& v : variants) {
+      for (const Variant& v : kVariants) {
         TunedCandidate c0{policy, g, v.prefetch, v.streaming, 0.0};
         c0.predicted_seconds = predict(atoms_for(g), cal_, p, extent, c0);
-        cands_.push_back(c0);
+        cands.push_back(c0);
       }
     }
   }
@@ -334,7 +340,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   // audit each policy's best-predicted variant with one real round, then
   // commit to the fastest configuration actually observed.
   if (mode_ == PickMode::kModel && have_pick_ && predicted_ > 0.0 &&
-      max_wall > cfg_.model_mistrust * predicted_) {
+      max_wall > kModelMistrust * predicted_) {
     mode_ = PickMode::kAudit;
     audit_.clear();
     // One round per policy, each at its default serving variant (prefetch
@@ -345,7 +351,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
          {SchedulePolicy::kStatic, SchedulePolicy::kGuided,
           SchedulePolicy::kDynamic}) {
       const TunedCandidate* bp = nullptr;
-      for (const auto& cand : cands_) {
+      for (const auto& cand : cands) {
         if (cand.policy != policy || !cand.prefetch || cand.streaming) {
           continue;
         }
@@ -376,7 +382,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     chosen = bo->cfg;
   } else {
     const TunedCandidate* best = nullptr;
-    for (const auto& cand : cands_) {
+    for (const auto& cand : cands) {
       if (best == nullptr ||
           cand.predicted_seconds < best->predicted_seconds) {
         best = &cand;
@@ -394,7 +400,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   // What the model says the chosen configuration should cost — the figure
   // next round's mistrust check (and the benches' predicted column) reads.
   predicted_ = chosen.predicted_seconds;
-  for (const auto& cand : cands_) {
+  for (const auto& cand : cands) {
     if (cand.same_config(chosen)) predicted_ = cand.predicted_seconds;
   }
   have_pick_ = true;

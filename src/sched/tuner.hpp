@@ -88,21 +88,6 @@ struct ObservedConfig {
   double wall_seconds = 0.0;   // min over the rounds this config ran
 };
 
-struct TunerConfig {
-  /// Grain ladder half-width in octaves around the resolve_grain default:
-  /// 2 explores {g/4, g/2, g, 2g, 4g}. Only open for kTree consumers — a
-  /// kOrdered consumer pins the grain (see header comment).
-  int grain_octaves = 2;
-  /// Include prefetch-off / streaming-on points in the lattice.
-  bool explore_prefetch = true;
-  bool explore_streaming = true;
-  /// Measured-over-predicted ratio past which the model is mistrusted and
-  /// the tuner switches to auditing real rounds (see header comment). The
-  /// default only fires on gross misses — cold shipping, oversubscription —
-  /// never on ordinary timing noise.
-  double model_mistrust = 3.0;
-};
-
 class AutoTuner;
 
 /// The implicit registry run_chunks keeps in Comm::sched_state() when
@@ -131,9 +116,6 @@ class AutoTuner {
   /// tuner, or use a fresh tune_key, to re-tune a changed job).
   enum class PickMode { kModel, kAudit, kCommitted };
 
-  AutoTuner() = default;
-  explicit AutoTuner(TunerConfig cfg) : cfg_(cfg) {}
-
   /// Completed rounds (finish_round calls).
   int rounds() const { return rounds_; }
   /// The configuration the next round will run (valid after one round).
@@ -141,16 +123,12 @@ class AutoTuner {
   bool have_pick() const { return have_pick_; }
   /// Last fitted model coefficients.
   const sim::Calibration& calibration() const { return cal_; }
-  /// The full evaluated lattice of the last finish_round, predicted-best
-  /// first is NOT guaranteed — entries keep lattice order; see pick().
-  const std::vector<TunedCandidate>& candidates() const { return cands_; }
   /// Audit state: how the current pick was chosen and what has actually
   /// been measured so far (min wall per configuration that ran).
   PickMode pick_mode() const { return mode_; }
   const std::vector<ObservedConfig>& observations() const { return obs_; }
-  /// Max-over-ranks wall seconds of the last round, and what the model
-  /// predicted for the configuration that ran it (0 before any pick ran).
-  double last_measured_seconds() const { return measured_; }
+  /// What the model predicted for the configuration the next round runs
+  /// (0 before the first pick).
   double last_predicted_seconds() const { return predicted_; }
   /// Outer extent of the job as seen by the root (after one round).
   index_t extent() const { return extent_; }
@@ -178,7 +156,6 @@ class AutoTuner {
                     double root_cost_cv = 0.0);
 
  private:
-  TunerConfig cfg_{};
   int rounds_ = 0;
   index_t extent_ = -1;
   bool have_pick_ = false;
@@ -186,8 +163,6 @@ class AutoTuner {
   SchedOptions ran_{};   // the concrete options of the in-flight round
   SchedOptions pick_{};
   sim::Calibration cal_{};
-  std::vector<TunedCandidate> cands_;
-  double measured_ = 0.0;
   double predicted_ = 0.0;
   PickMode mode_ = PickMode::kModel;
   std::vector<ObservedConfig> obs_;     // min measured wall per ran config

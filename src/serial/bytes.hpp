@@ -88,8 +88,6 @@ class SegmentedBytes {
     }
     return n;
   }
-  /// Bytes that went through the copied staging stream.
-  std::size_t bytes_owned() const { return total_ - bytes_borrowed(); }
 
   /// Assembles the logical byte stream into `dst` (caller guarantees room
   /// for size() bytes). This is the single copy of the borrowed data.
@@ -161,8 +159,6 @@ class ByteWriter {
     w.segment_mode_ = true;
     return w;
   }
-
-  bool segment_mode() const { return segment_mode_; }
 
   void reserve(std::size_t n) { buf_.reserve(n); }
 

@@ -10,29 +10,10 @@
 
 namespace triolet::sim {
 
-namespace {
-
-/// Earliest-free-worker list scheduling over tasks in the given order.
-double list_schedule(const std::vector<double>& tasks, int workers) {
-  TRIOLET_CHECK(workers >= 1, "need at least one worker");
-  // Min-heap of worker finish times.
-  std::priority_queue<double, std::vector<double>, std::greater<>> free_at;
-  for (int w = 0; w < workers; ++w) free_at.push(0.0);
-  double makespan = 0.0;
-  for (double d : tasks) {
-    double start = free_at.top();
-    free_at.pop();
-    double finish = start + d;
-    makespan = std::max(makespan, finish);
-    free_at.push(finish);
-  }
-  return makespan;
-}
-
-}  // namespace
-
 double makespan_dynamic(const std::vector<double>& tasks, int workers) {
-  return list_schedule(tasks, workers);
+  // Earliest-free-worker list scheduling over tasks in the given order: the
+  // demand-driven model with a free round trip.
+  return makespan_demand(tasks, workers, 0.0);
 }
 
 double makespan_static_block(const std::vector<double>& tasks, int workers) {
@@ -60,11 +41,6 @@ double makespan_static_cyclic(const std::vector<double>& tasks, int workers) {
   double makespan = 0.0;
   for (double l : load) makespan = std::max(makespan, l);
   return makespan;
-}
-
-double makespan_lpt(std::vector<double> tasks, int workers) {
-  std::sort(tasks.begin(), tasks.end(), std::greater<>());
-  return list_schedule(tasks, workers);
 }
 
 double makespan_demand(const std::vector<double>& chunks, int workers,

@@ -15,8 +15,6 @@
 //   makespan_static_cyclic round-robin pre-assignment — OpenMP
 //                         schedule(static,1), the tuned choice for skewed
 //                         (e.g. triangular) loops
-//   makespan_lpt          longest-processing-time greedy — an offline bound
-//                         used by tests as a sanity reference
 //
 // StragglerModel perturbs task durations deterministically, reproducing the
 // paper's observation that Eden tasks "occasionally run significantly slower
@@ -42,7 +40,6 @@ double makespan_static_block(const std::vector<double>& tasks, int workers);
 /// Round-robin pre-assignment (OpenMP schedule(static,1)): task i goes to
 /// core i mod workers. Balances monotone ramps like triangular loops.
 double makespan_static_cyclic(const std::vector<double>& tasks, int workers);
-double makespan_lpt(std::vector<double> tasks, int workers);
 
 /// Demand-driven (request/grant) makespan, modelling the src/sched/
 /// protocol: chunks are claimed in order by the earliest-free worker, and

@@ -5,9 +5,9 @@
 //
 // Each concurrent job group leases one kJobBandWidth-wide band out of the
 // job-band region; a net::TagMap built from the lease folds the job's whole
-// canonical tag space into it (user tags, scheduler epochs, async control,
-// residency protocol, group relay, collectives), so two jobs' traffic can
-// never cross-match no matter what they run. Leases are validated at
+// canonical tag space into it (user tags, scheduler epochs, residency
+// protocol, collectives), so two jobs' traffic can never cross-match no
+// matter what they run. Leases are validated at
 // allocation time with the same pairwise-disjointness audit the static
 // table gets at Cluster startup — defense in depth against an allocator
 // bug — and reclaimed slots are reused lowest-first. Exhaustion is a clear

@@ -26,7 +26,6 @@ JobResult JobHandle::wait() {
 JobManager::JobManager(ServiceOptions options)
     : opts_(options),
       state_(options.nranks, /*max_message_bytes=*/0),
-      bands_(options.max_bands > 0 ? options.max_bands : net::kMaxJobBands),
       arbiter_(options.quantum_items) {
   TRIOLET_CHECK(opts_.nranks >= 1, "service needs at least one rank");
   TRIOLET_CHECK(opts_.threads_per_rank >= 1,

@@ -80,8 +80,6 @@ struct ServiceOptions {
   /// Per-rank resident slice-cache budget; the default sentinel defers to
   /// net::slice_cache_budget() (env TRIOLET_SLICE_CACHE_BYTES).
   std::size_t slice_cache_bytes = ~std::size_t{0};
-  /// Band-lease capacity; 0 = the whole job-band region.
-  int max_bands = 0;
 };
 
 /// Service-wide counters (coherent after drain(); approximate while jobs

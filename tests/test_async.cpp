@@ -285,8 +285,7 @@ TEST(TagBands, EmptyBandIsRejected) {
 
 TEST(TagBands, SchedAndAsyncBandsSitAboveUserSpace) {
   EXPECT_GE(kTagSchedBand, kUserTagLimit);
-  EXPECT_GE(kTagAsyncBand, kUserTagLimit);
-  EXPECT_GE(kTagGroupBand, kUserTagLimit);
+  EXPECT_GE(kTagResidencyBand, kUserTagLimit);
   EXPECT_GE(kFirstReservedTag, kUserTagLimit);
 }
 

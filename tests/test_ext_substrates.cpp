@@ -48,8 +48,9 @@ TEST(NetExt, TryRecvDrainsQueuedMessages) {
 TEST(NetExt, ExchangeSwapsValuesPairwise) {
   auto res = net::Cluster::run(4, [](net::Comm& c) {
     int peer = c.rank() ^ 1;  // 0<->1, 2<->3
-    int got = c.exchange(peer, 5, c.rank() * 100);
-    EXPECT_EQ(got, peer * 100);
+    // Buffered sends: both sides send first, then receive.
+    c.send(peer, 5, c.rank() * 100);
+    EXPECT_EQ(c.recv<int>(peer, 5), peer * 100);
   });
   EXPECT_TRUE(res.ok) << res.error;
 }
@@ -67,15 +68,15 @@ TEST(NetExt, AllgatherGivesEveryoneEverything) {
 }
 
 TEST(NetExt, CollectivesComposeInSequence) {
-  // barrier / allgather / allreduce / exchange back to back, all ranks.
+  // barrier / allgather / allreduce / pairwise swap back to back, all ranks.
   auto res = net::Cluster::run(4, [](net::Comm& c) {
     c.barrier();
     auto all = c.allgather(c.rank());
     int total = c.allreduce(c.rank(), [](int a, int b) { return a + b; });
     EXPECT_EQ(total, 6);
     EXPECT_EQ(static_cast<int>(all.size()), 4);
-    int got = c.exchange(c.rank() ^ 1, 2, total + c.rank());
-    EXPECT_EQ(got, total + (c.rank() ^ 1));
+    c.send(c.rank() ^ 1, 2, total + c.rank());
+    EXPECT_EQ(c.recv<int>(c.rank() ^ 1, 2), total + (c.rank() ^ 1));
     c.barrier();
   });
   EXPECT_TRUE(res.ok) << res.error;

@@ -25,6 +25,15 @@
 #include "svc/job_manager.hpp"
 
 namespace triolet::net {
+
+/// Calls SpscRing's locked pop half directly, so a test can place a
+/// producer's fill-and-spill between pop()'s ring read and its lock.
+struct SpscRingTestPeer {
+  static bool pop_overflow(SpscRing& ring, RingDesc& out) {
+    return ring.pop_overflow(out);
+  }
+};
+
 namespace {
 
 /// Full-open wildcard window for direct MatchTable probes (kAnyTag itself
@@ -122,6 +131,29 @@ TEST(SpscRingTest, OverflowLanePreservesOrderAndReportsStalls) {
   EXPECT_TRUE(ring.push(desc_with_tag(7)));
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(out.tag, 7);
+}
+
+TEST(SpscRingTest, LockedPopReadsTheRingBeforeTheOverflowLane) {
+  SpscRing ring;
+  RingDesc out;
+  for (int i = 0; i < 3; ++i) ring.push(desc_with_tag(-1));
+  while (ring.pop(out)) {
+  }
+  // pop() has just read the ring empty. Before it takes the overflow lock,
+  // the producer fills the ring and spills one descriptor into the deque.
+  const int n = static_cast<int>(kRingSlots) + 1;
+  int stalls = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!ring.push(desc_with_tag(i))) stalls += 1;
+  }
+  ASSERT_EQ(stalls, 1);
+  // The locked half must still hand out the ring's entries first.
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(SpscRingTestPeer::pop_overflow(ring, out)) << "at " << i;
+    EXPECT_EQ(out.tag, i);
+  }
+  EXPECT_FALSE(SpscRingTestPeer::pop_overflow(ring, out));
+  EXPECT_FALSE(ring.maybe_nonempty());
 }
 
 TEST(SpscRingTest, ConcurrentProducerConsumerKeepsOrder) {
@@ -358,7 +390,11 @@ TEST(TransportTranscript, TrafficMixMatchesItsLiteralTranscript) {
     std::vector<int> wild;
     for (int r = 1; r < 4; ++r) wild.push_back(c.recv<int>(kAnySource, 7));
     std::sort(wild.begin(), wild.end());
-    for (int v : wild) transcript.push_back("w" + std::to_string(v));
+    for (int v : wild) {
+      std::string entry = "w";
+      entry += std::to_string(v);
+      transcript.push_back(std::move(entry));
+    }
   });
   ASSERT_TRUE(res.ok) << res.error;
   const std::vector<std::string> expected = {

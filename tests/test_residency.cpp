@@ -597,26 +597,6 @@ TEST(ResidencySched, StaticScheduleGrantsTokenize) {
   EXPECT_EQ(rs.cache_hits, 3);
 }
 
-TEST(ResidencySched, ResidencyOptionFalseBypassesProtocol) {
-  const index_t n = 10000;
-  auto xs = random_array(n, 18);
-  DistArray<double> d{Array1<double>(xs)};
-  BudgetGuard guard(std::size_t{64} << 20);
-
-  sched::SchedOptions opts;
-  opts.policy = sched::SchedulePolicy::kStatic;
-  opts.residency = false;
-  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-    NodeRuntime node(1);
-    auto make = [&] { return from_resident(d); };
-    (void)dist::sum(comm, make, opts);
-    (void)dist::sum(comm, make, opts);
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(res.total_stats.residency.tokens_sent, 0);
-  EXPECT_EQ(res.total_stats.residency.slices_inlined, 0);
-}
-
 TEST(ResidencySched, OrderedCombineBitwiseIdenticalOnAndOff) {
   const index_t n = 30000;
   auto xs = random_array(n, 19);

@@ -143,7 +143,6 @@ TEST(Schedulers, SingleWorkerIsTotalWork) {
   std::vector<double> tasks{1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(makespan_dynamic(tasks, 1), 10.0);
   EXPECT_DOUBLE_EQ(makespan_static_block(tasks, 1), 10.0);
-  EXPECT_DOUBLE_EQ(makespan_lpt(tasks, 1), 10.0);
   EXPECT_DOUBLE_EQ(total_work(tasks), 10.0);
 }
 
@@ -164,13 +163,6 @@ TEST(Schedulers, MakespanBounds) {
     double lower = std::max(total_work(tasks) / w, 7.0);
     EXPECT_GE(m, lower);
     EXPECT_LE(m, 2.0 * lower);
-  }
-}
-
-TEST(Schedulers, LptNeverWorseThanArrivalOrder) {
-  std::vector<double> tasks{9, 1, 1, 7, 2, 2, 5, 3};
-  for (int w : {2, 3, 4}) {
-    EXPECT_LE(makespan_lpt(tasks, w), makespan_dynamic(tasks, w) + 1e-12);
   }
 }
 

@@ -1,6 +1,6 @@
 // Stress and failure-injection tests: heavier concurrency on the pool and
 // deque, many-rank clusters, repeated cluster lifecycles, abort storms,
-// split() sub-communicators, and large serialization round trips.
+// and large serialization round trips.
 
 #include <gtest/gtest.h>
 
@@ -108,44 +108,6 @@ TEST(Stress, AbortStormLeavesNoHangs) {
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.error, "injected failure");
   }
-}
-
-TEST(Stress, SplitGroupsActIndependently) {
-  auto res = net::Cluster::run(8, [](net::Comm& c) {
-    // Two-level via sub-communicators: 2 "nodes" of 4 ranks each.
-    auto group = c.split(c.rank() / 4);
-    EXPECT_EQ(group.size(), 4);
-    // Group-local reduce.
-    int local = group.reduce(c.rank(), [](int a, int b) { return a + b; });
-    if (group.rank() == 0) {
-      int expect = c.rank() < 4 ? (0 + 1 + 2 + 3) : (4 + 5 + 6 + 7);
-      EXPECT_EQ(local, expect);
-    }
-    // Group-local broadcast of the leader's result.
-    group.broadcast(local);
-    int expect = c.rank() < 4 ? 6 : 22;
-    EXPECT_EQ(local, expect);
-    // Leaders combine across groups through the world communicator.
-    if (group.rank() == 0) {
-      if (c.rank() == 0) {
-        int world_total = local + c.recv<int>(4, 11);
-        EXPECT_EQ(world_total, 28);
-      } else {
-        c.send(0, 11, local);
-      }
-    }
-  });
-  EXPECT_TRUE(res.ok) << res.error;
-}
-
-TEST(Stress, SplitSingletonGroups) {
-  auto res = net::Cluster::run(3, [](net::Comm& c) {
-    auto g = c.split(c.rank());  // every rank its own color
-    EXPECT_EQ(g.size(), 1);
-    EXPECT_EQ(g.rank(), 0);
-    EXPECT_EQ(g.reduce(5, [](int a, int b) { return a + b; }), 5);
-  });
-  EXPECT_TRUE(res.ok) << res.error;
 }
 
 TEST(StressDeath, CorruptedPayloadIsDetectedAtReceive) {

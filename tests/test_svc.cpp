@@ -83,9 +83,7 @@ TEST(TagMap, LeasedBandCompressesEveryTrafficClass) {
   EXPECT_EQ(m.map(100), base + 100);
   // Each reserved class lands at its own compressed offset.
   EXPECT_EQ(m.map(net::kTagSchedBand), base + net::kJobSchedOffset);
-  EXPECT_EQ(m.map(net::kTagAsyncBand), base + net::kJobAsyncOffset);
   EXPECT_EQ(m.map(net::kTagResidencyBand), base + net::kJobResidencyOffset);
-  EXPECT_EQ(m.map(net::kTagGroupBand), base + net::kJobGroupOffset);
   EXPECT_EQ(m.map(net::kFirstReservedTag), base + net::kJobCollectiveOffset);
   // Wildcards pass through map_pattern.
   EXPECT_EQ(m.map_pattern(net::kAnyTag), net::kAnyTag);

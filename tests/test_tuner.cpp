@@ -1,8 +1,8 @@
 // Tests for the model-driven autotuner (src/sched/tuner.hpp): measurement
 // configuration, calibration-driven picks on synthetic workloads with known
-// best answers, SPMD pick determinism, end-to-end kAuto rounds on real
-// cluster threads, and the kOrdered bitwise-identity invariant against
-// every manual configuration.
+// best answers, SPMD pick determinism, the audit path after a gross
+// misprediction, end-to-end kAuto rounds on real cluster threads, and the
+// kOrdered bitwise-identity invariant against every manual configuration.
 
 #include <gtest/gtest.h>
 
@@ -103,10 +103,43 @@ TEST(AutoTunerUnit, RegistryKeysSeparateJobsAndCallerOwnedWins) {
 
 // -- synthetic workloads with known best answers ------------------------------
 
-/// Drives one tuner round on a 4-rank cluster from synthetic measurements:
-/// rank 0 records `per_unit_seconds` (one run per outer unit, the
-/// measurement round's shape) plus the given counter delta; everyone else
-/// contributes empty samples. Returns each rank's resulting pick.
+/// Finishes the tuner's current round from synthetic measurements: rank 0
+/// records `per_unit_seconds` (one run per outer unit, the measurement
+/// round's shape) plus the matching counter delta; everyone else contributes
+/// empty samples. Rank 0 reports `wall` as the round's wall time, or busy +
+/// idle time when `wall` is negative.
+void synthetic_round(AutoTuner& t, net::Comm& comm,
+                     const std::vector<double>& per_unit_seconds,
+                     double round_trip_seconds, std::int64_t bytes_per_unit,
+                     double wall = -1.0) {
+  const auto extent = static_cast<index_t>(per_unit_seconds.size());
+  net::CommStats delta;
+  double rank_wall = 0.0;
+  if (comm.rank() == 0) {
+    for (index_t i = 0; i < extent; ++i) {
+      t.record_run(/*atom_lo=*/i, /*grain=*/1, /*units=*/1,
+                   per_unit_seconds[static_cast<std::size_t>(i)]);
+      delta.sched.busy_seconds += per_unit_seconds[
+          static_cast<std::size_t>(i)];
+    }
+    delta.sched.items_executed = extent;
+    delta.sched.chunks_executed = extent;
+    delta.sched.steal_waits = extent;
+    delta.sched.idle_seconds =
+        static_cast<double>(extent) * round_trip_seconds;
+    delta.sched.grants_received = extent;
+    delta.sched.grant_payload_bytes = extent * bytes_per_unit;
+    delta.sched.granted_items = extent;
+    rank_wall = wall >= 0.0
+                    ? wall
+                    : delta.sched.busy_seconds + delta.sched.idle_seconds;
+  }
+  t.finish_round(comm, rank_wall, delta,
+                 comm.rank() == 0 ? extent : index_t{-1});
+}
+
+/// Drives one tuner round on a 4-rank cluster from synthetic measurements
+/// (see synthetic_round). Returns each rank's resulting pick.
 std::array<PickRecord, 4> synthetic_pick(
     const std::vector<double>& per_unit_seconds, double round_trip_seconds,
     std::int64_t bytes_per_unit) {
@@ -116,29 +149,8 @@ std::array<PickRecord, 4> synthetic_pick(
     SchedOptions user;
     user.policy = SchedulePolicy::kAuto;
     (void)t.begin_round(user);
-
-    const auto extent = static_cast<index_t>(per_unit_seconds.size());
-    net::CommStats delta;
-    double wall = 0.0;
-    if (comm.rank() == 0) {
-      for (index_t i = 0; i < extent; ++i) {
-        t.record_run(/*atom_lo=*/i, /*grain=*/1, /*units=*/1,
-                     per_unit_seconds[static_cast<std::size_t>(i)]);
-        delta.sched.busy_seconds += per_unit_seconds[
-            static_cast<std::size_t>(i)];
-      }
-      delta.sched.items_executed = extent;
-      delta.sched.chunks_executed = extent;
-      delta.sched.steal_waits = extent;
-      delta.sched.idle_seconds =
-          static_cast<double>(extent) * round_trip_seconds;
-      delta.sched.grants_received = extent;
-      delta.sched.grant_payload_bytes = extent * bytes_per_unit;
-      delta.sched.granted_items = extent;
-      wall = delta.sched.busy_seconds + delta.sched.idle_seconds;
-    }
-    t.finish_round(comm, wall, delta,
-                   comm.rank() == 0 ? extent : index_t{-1});
+    synthetic_round(t, comm, per_unit_seconds, round_trip_seconds,
+                    bytes_per_unit);
     picks[static_cast<std::size_t>(comm.rank())] = PickRecord::of(t);
   });
   EXPECT_TRUE(res.ok) << res.error;
@@ -240,6 +252,89 @@ TEST(AutoTunerPick, AllRanksPickTheIdenticalConfiguration) {
   for (std::size_t r = 1; r < picks.size(); ++r) {
     EXPECT_TRUE(picks[0].same_config(picks[r])) << "rank " << r;
   }
+}
+
+// -- measured feedback: the audit path ---------------------------------------
+
+// Uniform units behind a costly round trip, so the model's first pick is
+// kStatic (as in UniformWorkloadWithCostlyControlPicksStatic). kOrdered
+// pins one grain, so each policy has exactly one audit configuration.
+const std::vector<double> kUniformUnits(64, 1e-4);
+constexpr double kCostlyRoundTrip = 5e-2;
+constexpr std::int64_t kUnitBytes = 16;
+
+SchedOptions ordered_auto() {
+  SchedOptions user;
+  user.policy = SchedulePolicy::kAuto;
+  user.combine = CombineMode::kOrdered;
+  return user;
+}
+
+TEST(AutoTunerAudit, WallPastThreeTimesThePredictionAuditsEveryPolicy) {
+  std::array<std::vector<SchedulePolicy>, 4> ran{};
+  std::array<AutoTuner::PickMode, 4> mode_after_miss{};
+  std::array<PickRecord, 4> guided{};
+  std::array<PickRecord, 4> committed{};
+  std::array<AutoTuner::PickMode, 4> final_mode{};
+  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    AutoTuner t;
+    const SchedOptions user = ordered_auto();
+    (void)t.begin_round(user);  // the measurement round
+    synthetic_round(t, comm, kUniformUnits, kCostlyRoundTrip, kUnitBytes);
+    // The wall each policy's round reports, in multiples of the first
+    // pick's prediction: the model's pick misses by 3.1x, and guided, which
+    // the model did not pick, is the fastest on the clock.
+    const double predicted = t.last_predicted_seconds();
+    auto wall_of = [&](SchedulePolicy p) {
+      switch (p) {
+        case SchedulePolicy::kStatic: return 3.1 * predicted;
+        case SchedulePolicy::kGuided: return 1.5 * predicted;
+        default: return 2.5 * predicted;
+      }
+    };
+    for (int round = 0; round < 3; ++round) {
+      const SchedOptions o = t.begin_round(user);
+      ran[r].push_back(o.policy);
+      if (o.policy == SchedulePolicy::kGuided) {
+        guided[r] = {true, o.policy, o.grain, o.prefetch, o.streaming, 0};
+      }
+      synthetic_round(t, comm, kUniformUnits, kCostlyRoundTrip, kUnitBytes,
+                      wall_of(o.policy));
+      if (round == 0) mode_after_miss[r] = t.pick_mode();
+    }
+    committed[r] = PickRecord::of(t);
+    final_mode[r] = t.pick_mode();
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  const std::vector<SchedulePolicy> each_once = {SchedulePolicy::kStatic,
+                                                 SchedulePolicy::kGuided,
+                                                 SchedulePolicy::kDynamic};
+  for (std::size_t r = 0; r < 4; ++r) {
+    // The model's pick, then one audit round for each policy not yet seen.
+    EXPECT_EQ(ran[r], each_once) << "rank " << r;
+    EXPECT_EQ(mode_after_miss[r], AutoTuner::PickMode::kAudit) << "rank " << r;
+    EXPECT_EQ(final_mode[r], AutoTuner::PickMode::kCommitted) << "rank " << r;
+    // Committed to the lowest observed wall: the guided round's config.
+    EXPECT_TRUE(committed[r].same_config(guided[r])) << "rank " << r;
+  }
+}
+
+TEST(AutoTunerAudit, WallUnderThreeTimesThePredictionKeepsTheModel) {
+  std::array<AutoTuner::PickMode, 4> modes{};
+  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
+    AutoTuner t;
+    const SchedOptions user = ordered_auto();
+    (void)t.begin_round(user);
+    synthetic_round(t, comm, kUniformUnits, kCostlyRoundTrip, kUnitBytes);
+    const double predicted = t.last_predicted_seconds();
+    (void)t.begin_round(user);
+    synthetic_round(t, comm, kUniformUnits, kCostlyRoundTrip, kUnitBytes,
+                    2.9 * predicted);
+    modes[static_cast<std::size_t>(comm.rank())] = t.pick_mode();
+  });
+  ASSERT_TRUE(res.ok) << res.error;
+  for (const auto mode : modes) EXPECT_EQ(mode, AutoTuner::PickMode::kModel);
 }
 
 // -- end-to-end kAuto on real cluster threads ---------------------------------
