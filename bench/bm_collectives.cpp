@@ -30,7 +30,7 @@ std::vector<net::CommStats> probe(
   std::vector<net::CommStats> stats(static_cast<std::size_t>(ranks));
   auto res = net::Cluster::run(ranks, [&](net::Comm& c) {
     body(c);
-    stats[static_cast<std::size_t>(c.rank())] = c.stats();
+    stats[static_cast<std::size_t>(c.rank())] = c.snapshot_stats();
   });
   if (!res.ok) stats.clear();
   return stats;

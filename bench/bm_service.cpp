@@ -6,7 +6,7 @@
 // a handful of large jobs that re-analyze one resident dataset (scheduled,
 // fair-share-gated reductions over a wide record array). The baseline is
 // what the pre-service system offers: every job is its own Cluster::run —
-// fresh rank threads, fresh per-rank pools and progress engines, cold slice
+// fresh rank threads, fresh per-rank pools, cold slice
 // caches — and jobs run strictly one after another, so a small job's
 // latency includes every job submitted before it.
 //

@@ -14,11 +14,11 @@
 //     boundary band is a borrowed segment gathered straight into the
 //     delivered payload — never staged through the serializer.
 //   * The exchange is split-phase for overlap: constructing a HaloExchange
-//     posts both irecvs and both isends and returns immediately; the caller
-//     computes its interior rows (which need no ghosts) while the progress
-//     engine serializes, ships, and matches in the background, then calls
-//     finish() to land the ghosts and compute the boundary. halo_sweep
-//     packages that order for Jacobi-style (read cur, write next) sweeps.
+//     posts both irecvs and sends both bands, and sends never block; the
+//     caller computes its interior rows (which need no ghosts) while the
+//     neighbors' bands arrive, then calls finish() to land the ghosts and
+//     compute the boundary. halo_sweep packages that order for Jacobi-style
+//     (read cur, write next) sweeps.
 //   * Traffic is O(boundary), not O(slab): 2 messages of radius*nx cells
 //     per interior rank per sweep, counted in CommStats.views (halo_bytes,
 //     ghost_cells, halo_messages) with the interior-compute window that hid
@@ -84,10 +84,9 @@ HaloSlab<T> make_halo_slab(index_t ny, index_t nx, index_t radius, int rank,
 }
 
 /// One split-phase neighbor exchange over a slab. Constructing posts the
-/// receives and the zero-copy sends; finish() lands the ghost bands into
-/// the grid and settles the counters. The slab's grid must stay alive and
-/// its boundary bands unmodified until finish() returns (the Jacobi
-/// read-cur/write-next discipline gives this for free).
+/// receives and sends the boundary bands zero-copy; finish() lands the
+/// ghost bands into the grid and settles the counters. The slab must stay
+/// alive until finish() returns.
 template <typename T>
 class HaloExchange {
  public:
@@ -97,11 +96,9 @@ class HaloExchange {
     // Post receives first so an eager neighbor's band always finds a match.
     if (slab.prev >= 0) rv_prev_ = comm.irecv(slab.prev, tag);
     if (slab.next >= 0) rv_next_ = comm.irecv(slab.next, tag);
-    if (slab.prev >= 0) {
-      sd_prev_ = send_band(slab.prev, g, slab.y0, slab.radius);
-    }
+    if (slab.prev >= 0) send_band(slab.prev, g, slab.y0, slab.radius);
     if (slab.next >= 0) {
-      sd_next_ = send_band(slab.next, g, slab.y1 - slab.radius, slab.radius);
+      send_band(slab.next, g, slab.y1 - slab.radius, slab.radius);
     }
     comm.view_stats().halo_exchanges += 1;
     begin_ = std::chrono::steady_clock::now();
@@ -111,9 +108,8 @@ class HaloExchange {
   HaloExchange& operator=(const HaloExchange&) = delete;
   ~HaloExchange() { finish(); }
 
-  /// Waits the neighbor bands, copies them into the ghost rows, waits the
-  /// outgoing sends, and charges the compute window since construction as
-  /// overlap. Idempotent.
+  /// Waits the neighbor bands, copies them into the ghost rows, and charges
+  /// the compute window since construction as overlap. Idempotent.
   void finish() {
     if (finished_) return;
     finished_ = true;
@@ -129,13 +125,10 @@ class HaloExchange {
     if (slab_->next >= 0) {
       recv_band(rv_next_, slab_->y1);
     }
-    sd_prev_.wait();
-    sd_next_.wait();
   }
 
  private:
-  net::PendingSend send_band(int dst, const Array2<T>& g, index_t y_first,
-                             index_t rows) {
+  void send_band(int dst, const Array2<T>& g, index_t y_first, index_t rows) {
     const index_t cols = g.cols();
     auto w = serial::ByteWriter::segmented();
     w.write_pod<std::int64_t>(y_first);
@@ -148,8 +141,7 @@ class HaloExchange {
     auto& vs = comm_->view_stats();
     vs.halo_messages += 1;
     vs.halo_bytes += static_cast<std::int64_t>(w.size());
-    // No keepalive: the slab outlives finish(), which waits this send.
-    return comm_->isend_segments(dst, tag_, w.take_segments(), nullptr);
+    comm_->send_segments(dst, tag_, w.take_segments());
   }
 
   void recv_band(net::PendingRecv& rv, index_t y_first) {
@@ -173,7 +165,6 @@ class HaloExchange {
   HaloSlab<T>* slab_;
   int tag_;
   net::PendingRecv rv_prev_, rv_next_;
-  net::PendingSend sd_prev_, sd_next_;
   std::chrono::steady_clock::time_point begin_{};
   bool finished_ = false;
 };
@@ -189,8 +180,8 @@ void halo_sweep(net::Comm& comm, const HaloSlab<T>& cur, HaloSlab<T>& next,
   TRIOLET_CHECK(cur.y0 == next.y0 && cur.y1 == next.y1 &&
                     cur.radius == next.radius,
                 "halo_sweep slabs must be partitioned identically");
-  // The exchange mutates only cur's *ghost* rows; the owned rows — and the
-  // boundary bands the engine is gathering — stay read-only all sweep.
+  // The exchange mutates only cur's *ghost* rows; the owned rows stay
+  // read-only all sweep.
   auto& xcur = const_cast<HaloSlab<T>&>(cur);
   HaloExchange<T> hx(comm, xcur,
                      kTagHaloBase + static_cast<int>(sweep_index & 1));

@@ -12,7 +12,7 @@
 //
 // Task payloads cross the wire even though ranks share an address space, so
 // the farm exhibits Eden's real communication volume, including the bounded
-// message buffer failure mode (configure via ClusterOptions).
+// message buffer failure mode (configure via TransportOptions).
 
 #include <functional>
 #include <vector>

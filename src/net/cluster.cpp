@@ -10,15 +10,12 @@
 namespace triolet::net {
 
 ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
-                           const ClusterOptions& options) {
+                           const TransportOptions& options) {
   // Startup audit: every reserved tag band (user, scheduler, residency,
   // collectives) must be pairwise disjoint, or wildcard-free matching could
   // steal another subsystem's messages.
   assert_tag_bands_disjoint();
-  ClusterState state(nranks, TransportOptions{
-                                 .max_message_bytes = options.max_message_bytes,
-                                 .eager_bytes = options.eager_bytes,
-                             });
+  ClusterState state(nranks, options);
 
   std::mutex result_mu;
   ClusterResult result;
@@ -27,9 +24,6 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
     Comm comm(rank, &state);
     try {
       body(comm);
-      // Drain queued isends so a fire-and-forget error surfaces as a rank
-      // failure rather than vanishing with the progress engine.
-      comm.flush_async();
     } catch (const ClusterAborted&) {
       // Secondary failure: this rank was blocked when a peer died.
     } catch (const std::exception& e) {
@@ -42,11 +36,8 @@ ClusterResult Cluster::run(int nranks, const std::function<void(Comm&)>& body,
       }
       state.abort_all();
     }
-    // Quiesce before reading stats: the progress engine may still be
-    // retiring cancelled ops after an abort.
-    comm.quiesce();
     std::lock_guard<std::mutex> lock(result_mu);
-    result.total_stats += comm.stats();
+    result.total_stats += comm.snapshot_stats();
   };
 
   std::vector<std::thread> threads;

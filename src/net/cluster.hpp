@@ -19,14 +19,6 @@
 
 namespace triolet::net {
 
-struct ClusterOptions {
-  /// 0 = unbounded. Nonzero models a runtime with bounded message buffers.
-  std::size_t max_message_bytes = 0;
-  /// Eager/rendezvous threshold; -1 = TRIOLET_EAGER_BYTES env, default
-  /// kDefaultEagerBytes.
-  long eager_bytes = -1;
-};
-
 struct ClusterResult {
   bool ok = true;
   std::string error;  // first root-cause error when !ok
@@ -38,8 +30,10 @@ struct ClusterResult {
 class Cluster {
  public:
   /// Runs `body(comm)` on `nranks` SPMD rank threads and joins them.
+  /// `options` configures the data plane: bounded message buffers and the
+  /// eager/rendezvous threshold (net/transport.hpp).
   static ClusterResult run(int nranks, const std::function<void(Comm&)>& body,
-                           const ClusterOptions& options = {});
+                           const TransportOptions& options = {});
 };
 
 }  // namespace triolet::net

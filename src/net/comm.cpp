@@ -2,12 +2,6 @@
 
 namespace triolet::net {
 
-ClusterState::ClusterState(int nranks_in, std::size_t max_message_bytes)
-    : ClusterState(nranks_in, TransportOptions{
-                                  .max_message_bytes = max_message_bytes,
-                                  .eager_bytes = -1,
-                              }) {}
-
 ClusterState::ClusterState(int nranks_in, const TransportOptions& options)
     : nranks(nranks_in), transport(nranks_in, options) {}
 
@@ -18,49 +12,36 @@ void ClusterState::abort_all() {
 
 void ClusterState::interrupt_all() { transport.interrupt_all(); }
 
-void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg,
-                            int collective, std::size_t shard) {
+void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg) {
   const auto zero_copy = static_cast<std::int64_t>(sg.bytes_borrowed());
   const auto total = static_cast<std::int64_t>(sg.size());
-  // Send accounting goes to the caller's shard (rank thread or engine
-  // thread), so concurrent producers never contend on a lock. The stamp is
-  // the checksum accumulated at *write* time, not a hash of the gathered
-  // bytes: a borrowed span that was sliced wrong or mutated between
-  // serialization and the transport's gather fails validation at the
-  // receiver instead of checksumming itself consistently.
-  SendShard& s = send_shards_[shard];
-  s.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  s.bytes_sent.fetch_add(total, std::memory_order_relaxed);
-  s.bytes_zero_copy.fetch_add(zero_copy, std::memory_order_relaxed);
-  s.bytes_copied.fetch_add(total - zero_copy, std::memory_order_relaxed);
-  if (collective >= 0) {
-    // Collectives run on the rank thread only, so the per-collective
-    // counters stay plain fields in stats_.
-    auto& c = stats_.collectives[static_cast<std::size_t>(collective)];
+  // The stamp is the checksum accumulated at *write* time, not a hash of
+  // the gathered bytes: a borrowed span that was sliced wrong or mutated
+  // between serialization and the transport's gather fails validation at
+  // the receiver instead of checksumming itself consistently.
+  stats_.messages_sent += 1;
+  stats_.bytes_sent += total;
+  stats_.bytes_zero_copy += zero_copy;
+  stats_.bytes_copied += total - zero_copy;
+  if (active_collective_ >= 0) {
+    auto& c = stats_.collectives[static_cast<std::size_t>(active_collective_)];
     c.messages_sent += 1;
     c.bytes_sent += total;
   }
-  // The single send-side mapping point for all sends (blocking
-  // send/send_segments and every isend flavor routes through here — the
-  // tag map is immutable state, safe from both threads).
-  endpoint_->deliver(dst, tags_.map(tag), std::move(sg), s.msg);
+  // The single send-side mapping point: every send routes through here.
+  endpoint_->deliver(dst, tags_.map(tag), std::move(sg), stats_.msg);
 }
 
 void Comm::send_segments(int dst, int tag, serial::SegmentedBytes sg) {
   check_dst(dst);
-  // Flush queued isends first so a blocking send can never overtake them
-  // (per-(src, tag) FIFO order is part of the transport contract).
-  flush_async();
-  deliver_segments(dst, tag, std::move(sg), active_collective_);
+  deliver_segments(dst, tag, std::move(sg));
 }
 
 void Comm::send_bytes(int dst, int tag, std::vector<std::byte> payload) {
   check_dst(dst);
-  flush_async();
   const std::uint64_t sum = serial::checksum(payload);
   deliver_segments(dst, tag,
-                   serial::SegmentedBytes::from_flat(std::move(payload), sum),
-                   active_collective_);
+                   serial::SegmentedBytes::from_flat(std::move(payload), sum));
 }
 
 void Comm::finish_recv(const Message& m, bool attribute_collective) {
@@ -148,11 +129,6 @@ Message Comm::pop_with_services(std::span<const std::pair<int, int>> user,
 }
 
 Message Comm::recv_message(int src, int tag) {
-  // Liveness rule: never block waiting for a message while holding
-  // undelivered outgoing isends — the peer we are waiting on may itself be
-  // waiting for one of them. Flushing also surfaces deferred isend errors
-  // at the first blocking receive instead of at body end.
-  flush_async();
   if (services_.empty()) {
     Message m = endpoint_->pop_match(src, tags_.map_pattern(tag),
                                      state_->aborted, tags_.any_lo(),
@@ -191,23 +167,11 @@ std::size_t wait_any(std::span<PendingRecv> recvs) {
     index.push_back(i);
   }
   std::size_t which = 0;
-  comm->flush_async();  // same liveness rule as recv_message
   Message m = comm->pop_with_services(patterns, which);
   auto& r = recvs[index[which]];
   r.msg_ = std::move(m);
   r.completed_ = true;
   return index[which];
-}
-
-PendingSend Comm::isend_segments(int dst, int tag, serial::SegmentedBytes sg,
-                                 std::shared_ptr<const void> keepalive) {
-  check_dst(dst);
-  auto holder = std::make_shared<serial::SegmentedBytes>(std::move(sg));
-  return PendingSend(engine().post(
-      [this, dst, tag, holder, keepalive = std::move(keepalive)] {
-        deliver_segments(dst, tag, std::move(*holder), /*collective=*/-1,
-                         kEngineShard);
-      }));
 }
 
 void Comm::barrier() {

@@ -24,8 +24,8 @@
 // differs from a linear rank-order fold.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <functional>
 #include <memory>
@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/progress.hpp"
 #include "net/transport.hpp"
 #include "net/slice_cache.hpp"
 #include "net/tags.hpp"
@@ -133,22 +132,6 @@ TRIOLET_STATS_FIELDS(ViewStats, view_tokens, view_bytes_avoided,
                      halo_exchanges, halo_messages, halo_bytes, ghost_cells,
                      halo_overlap_seconds)
 
-/// Messaging data-plane counters (the snapshot image of the transport's
-/// MsgCounters shards): protocol split and buffer-pool behavior. After
-/// warmup, pool_misses staying flat is the zero-steady-state-allocation
-/// property; ring_full_stalls counts sends that overflowed a full ring into
-/// the (ordered, unbounded) overflow lane.
-struct MsgStats {
-  std::int64_t eager_msgs = 0;        // payloads copied into pooled slabs
-  std::int64_t rendezvous_msgs = 0;   // payloads handed off whole
-  std::int64_t pool_hits = 0;         // slab allocations served by freelists
-  std::int64_t pool_misses = 0;       // slab allocations that hit the heap
-  std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
-};
-
-TRIOLET_STATS_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
-                     pool_misses, ring_full_stalls)
-
 struct CommStats {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
@@ -199,9 +182,6 @@ TRIOLET_STATS_FIELDS(CommStats, messages_sent, bytes_sent, messages_received,
 /// Shared state of one in-process cluster (owned by Cluster, referenced by
 /// every Comm).
 struct ClusterState {
-  /// Classic form: the eager threshold resolves from the environment
-  /// (TRIOLET_EAGER_BYTES).
-  explicit ClusterState(int nranks, std::size_t max_message_bytes);
   ClusterState(int nranks, const TransportOptions& transport_options);
 
   int nranks = 0;
@@ -234,8 +214,6 @@ class Comm {
       : rank_(rank),
         state_(state),
         tags_(tags),
-        // Attached eagerly so the progress engine can use the cached
-        // endpoint without racing a lazy initialization.
         endpoint_(&state->transport.attach(rank, tags.base)),
         shared_residency_(shared_residency),
         job_aborted_(job_aborted) {}
@@ -265,60 +243,16 @@ class Comm {
     send_segments(dst, tag, sg);
   }
 
-  /// Sends a pre-built scatter-gather payload (blocking; the borrowed
-  /// segments only need to live for the duration of the call).
+  /// Sends a pre-built scatter-gather payload. The borrowed segments are
+  /// gathered before the call returns, so they only need to live for its
+  /// duration. Every send delivers on the calling rank thread and never
+  /// blocks: a full ring spills into its overflow lane, and a large
+  /// payload changes hands whole.
   void send_segments(int dst, int tag, serial::SegmentedBytes sg);
 
-  // -- asynchronous point to point --------------------------------------------
-  //
-  // isend hands the value to the per-rank progress engine: serialization,
-  // checksum, and delivery run on the engine thread, overlapping with the
-  // caller's compute. Posting order is delivery order (the engine is FIFO),
-  // and blocking sends flush the engine first, so async and sync sends to
-  // the same (dst, tag) can never reorder. irecv is a posted match: wait()
-  // blocks for it, test() polls, wait_any races several. All handles are
-  // cancelled with ClusterAborted if the cluster aborts.
-
-  /// Asynchronous typed send: takes `v` by value (moved into the engine)
-  /// so the caller's buffers are immediately reusable. Dropping the handle
-  /// detaches the send; its errors resurface on the next flush.
-  template <typename T>
-  PendingSend isend(int dst, int tag, T v) {
-    check_dst(dst);
-    auto value = std::make_shared<T>(std::move(v));
-    return PendingSend(engine().post([this, dst, tag, value] {
-      deliver_segments(dst, tag, serial::to_segments(*value),
-                       /*collective=*/-1, kEngineShard);
-    }));
-  }
-
-  /// Asynchronous send of a pre-built scatter-gather payload: the gather of
-  /// borrowed segments runs on the engine thread (overlapping the caller's
-  /// compute), and `keepalive` is held until delivery so whatever the
-  /// borrowed spans reference stays alive. This is how residency-aware
-  /// senders ship an eagerly-serialized payload without losing overlap.
-  PendingSend isend_segments(int dst, int tag, serial::SegmentedBytes sg,
-                             std::shared_ptr<const void> keepalive);
-
-  /// Posts an asynchronous receive for (src, tag); wildcards as in recv.
+  /// Posts a receive for (src, tag); wildcards as in recv. The match is
+  /// claimed at wait()/test() time, and wait_any races several handles.
   PendingRecv irecv(int src, int tag);
-
-  /// Blocks until every engine-posted operation has completed; rethrows
-  /// the first error from detached sends. Called implicitly by blocking
-  /// sends (ordering) and by Cluster::run when the rank body returns.
-  void flush_async() {
-    if (engine_) engine_->flush();
-  }
-
-  /// flush_async for the shutdown path: never throws.
-  void quiesce() noexcept {
-    try {
-      flush_async();
-    } catch (...) {
-      // The first root-cause error was already recorded by the rank body
-      // or will be surfaced by the cluster's abort machinery.
-    }
-  }
 
   /// Blocking receive matching (src, tag); wildcards kAnySource / kAnyTag.
   Message recv_message(int src, int tag);
@@ -574,34 +508,11 @@ class Comm {
     return acc;
   }
 
-  /// This rank's counters (an aggregated snapshot; see snapshot_stats).
-  CommStats stats() const { return snapshot_stats(); }
-
-  /// Coherent copy of this rank's counters. Send-side traffic is recorded
-  /// in per-producing-thread shards of relaxed atomics (rank thread and
-  /// progress engine each own one — no lock and no shared cache line on
-  /// the send path); the shards are summed into the plain
-  /// rank-thread-owned fields here. Two snapshots subtract into the delta
+  /// Copy of this rank's counters. Two snapshots subtract into the delta
   /// of everything between them: `auto d = comm.snapshot_stats() - before;`
   /// — the per-round attribution the autotuner and the benches are built
   /// on.
-  CommStats snapshot_stats() const {
-    CommStats out = stats_;
-    for (const SendShard& s : send_shards_) {
-      out.messages_sent += s.messages_sent.load(std::memory_order_relaxed);
-      out.bytes_sent += s.bytes_sent.load(std::memory_order_relaxed);
-      out.bytes_zero_copy += s.bytes_zero_copy.load(std::memory_order_relaxed);
-      out.bytes_copied += s.bytes_copied.load(std::memory_order_relaxed);
-      out.msg.eager_msgs += s.msg.eager_msgs.load(std::memory_order_relaxed);
-      out.msg.rendezvous_msgs +=
-          s.msg.rendezvous_msgs.load(std::memory_order_relaxed);
-      out.msg.pool_hits += s.msg.pool_hits.load(std::memory_order_relaxed);
-      out.msg.pool_misses += s.msg.pool_misses.load(std::memory_order_relaxed);
-      out.msg.ring_full_stalls +=
-          s.msg.ring_full_stalls.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
+  CommStats snapshot_stats() const { return stats_; }
 
   /// Mutable scheduler counters: the sched/ layer records its protocol
   /// activity here so cluster-level CommStats aggregation picks it up.
@@ -694,8 +605,6 @@ class Comm {
         : comm_(&c), owner_(c.active_collective_ < 0) {
       if (owner_) {
         comm_->active_collective_ = static_cast<int>(k);
-        // Rank-thread-only state: collectives run on the rank thread, and
-        // the per-collective counters are never touched by the engine.
         comm_->stats_.collectives[static_cast<std::size_t>(k)].calls += 1;
       }
     }
@@ -723,20 +632,9 @@ class Comm {
     TRIOLET_CHECK(dst != rank_, "self-sends are not supported; use local data");
   }
 
-  /// The per-rank progress engine, started on first use.
-  ProgressEngine& engine() {
-    if (!engine_) {
-      engine_ = std::make_unique<ProgressEngine>(&state_->aborted);
-    }
-    return *engine_;
-  }
-
-  /// Hands a scatter-gather payload to the transport endpoint for `dst`.
-  /// Runs on the rank thread (blocking sends, shard = kRankShard) or the
-  /// engine thread (isends, shard = kEngineShard); each caller passes its
-  /// own shard so send accounting is plain relaxed atomics, never a lock.
-  void deliver_segments(int dst, int tag, serial::SegmentedBytes sg,
-                        int collective, std::size_t shard = kRankShard);
+  /// Hands a scatter-gather payload to the transport endpoint for `dst`
+  /// and counts it.
+  void deliver_segments(int dst, int tag, serial::SegmentedBytes sg);
 
   friend std::size_t wait_any(std::span<PendingRecv> recvs);
 
@@ -758,35 +656,17 @@ class Comm {
 
   int rank_;
   ClusterState* state_;
-  /// Canonical-to-leased-band tag map; immutable after construction, so
-  /// mapping is safe from both the rank thread and the progress engine.
+  /// Canonical-to-leased-band tag map; immutable after construction.
   TagMap tags_;
-  /// The transport endpoint for this rank in its tag band, attached eagerly
-  /// in the constructor so the engine thread never races a lazy init.
+  /// The transport endpoint for this rank in its tag band.
   Transport::Endpoint* endpoint_ = nullptr;
   /// Manager-owned per-rank residency (null outside the service layer).
   Residency* shared_residency_ = nullptr;
   /// Per-job-group abort flag (null outside the service layer).
   std::atomic<bool>* job_aborted_ = nullptr;
-  /// Rank-thread-only stats (receives, collectives, views, residency).
-  /// Send-side counters live in send_shards_ because the progress engine
-  /// records isend traffic concurrently with the rank thread's own sends.
+  /// Rank-thread-only stats: every send and every receive is counted on
+  /// the rank thread, so no field needs a lock or an atomic.
   CommStats stats_;
-
-  static constexpr std::size_t kRankShard = 0;
-  static constexpr std::size_t kEngineShard = 1;
-  /// One shard per producing thread. Index with kRankShard / kEngineShard;
-  /// snapshot_stats() sums both into the plain CommStats mirror, so no
-  /// lock ever sits on the send path.
-  struct alignas(64) SendShard {
-    std::atomic<std::int64_t> messages_sent{0};
-    std::atomic<std::int64_t> bytes_sent{0};
-    std::atomic<std::int64_t> bytes_zero_copy{0};
-    std::atomic<std::int64_t> bytes_copied{0};
-    MsgCounters msg;
-  };
-  SendShard send_shards_[2];
-  std::unique_ptr<ProgressEngine> engine_;
   std::unique_ptr<Residency> residency_;
   /// (tag, handler) pairs, rank-thread only.
   std::vector<std::pair<int, std::function<void(Message&)>>> services_;

@@ -22,9 +22,9 @@
 // travel as recycled vectors, not slabs.
 //
 // The pool is a process-global leaky singleton: thread-cache destructors
-// flush into the central depot on thread exit (cluster rank threads and
-// progress engines come and go), and the depot itself is never destroyed,
-// so destruction order can never strand a flush.
+// flush into the central depot on thread exit (cluster rank threads come
+// and go), and the depot itself is never destroyed, so destruction order
+// can never strand a flush.
 
 #include <atomic>
 #include <cstddef>

@@ -158,7 +158,7 @@ class Transport::Domain {
   RxState& rx(int rank) { return *rx_[static_cast<std::size_t>(rank)]; }
 
   void deliver(int src, int dst, int tag, serial::SegmentedBytes sg,
-               MsgCounters& mc) {
+               MsgStats& ms) {
     const std::size_t n = sg.size();
     if (max_message_bytes_ != 0 && n > max_message_bytes_) {
       throw BufferOverflow();
@@ -175,13 +175,12 @@ class Transport::Domain {
         sg.gather_into(a.p);
         d.ptr = a.p;
         d.pclass = a.cls;
-        (a.pool_hit ? mc.pool_hits : mc.pool_misses)
-            .fetch_add(1, std::memory_order_relaxed);
+        (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
         if (sg.all_owned()) {
           serial::recycle_stream_buffer(sg.take_owned_storage());
         }
       }
-      mc.eager_msgs.fetch_add(1, std::memory_order_relaxed);
+      ms.eager_msgs += 1;
     } else {
       d.kind = RingDesc::kRendezvous;
       std::vector<std::byte> flat;
@@ -197,13 +196,12 @@ class Transport::Domain {
       BufferPool::Alloc a = BufferPool::instance().allocate(sizeof(RzNode));
       d.ptr = new (a.p) RzNode{std::move(flat)};
       d.pclass = a.cls;
-      (a.pool_hit ? mc.pool_hits : mc.pool_misses)
-          .fetch_add(1, std::memory_order_relaxed);
-      mc.rendezvous_msgs.fetch_add(1, std::memory_order_relaxed);
+      (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
+      ms.rendezvous_msgs += 1;
     }
     RxState& r = rx(dst);
     if (!r.rings[static_cast<std::size_t>(src)].push(d)) {
-      mc.ring_full_stalls.fetch_add(1, std::memory_order_relaxed);
+      ms.ring_full_stalls += 1;
     }
     r.parker.wake();
   }
@@ -254,8 +252,8 @@ class Transport::Domain {
 // the pop family reads rank r's RxState.
 
 void Transport::Endpoint::deliver(int dst, int tag, serial::SegmentedBytes sg,
-                                  MsgCounters& mc) {
-  domain_->deliver(rank_, dst, tag, std::move(sg), mc);
+                                  MsgStats& ms) {
+  domain_->deliver(rank_, dst, tag, std::move(sg), ms);
 }
 
 Message Transport::Endpoint::pop_match(int src, int tag,

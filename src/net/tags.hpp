@@ -136,8 +136,7 @@ inline constexpr int job_band_base(int slot) {
 
 /// Maps a job's canonical tag space into its leased band. base == 0 is the
 /// identity map (a Comm outside the service layer). The map is a pure
-/// function of immutable state, so it is safe to apply from any thread
-/// (rank thread or progress engine).
+/// function of immutable state.
 struct TagMap {
   int base = 0;
 

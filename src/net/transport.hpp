@@ -11,10 +11,8 @@
 // blocks live in net/ring_transport.hpp, the wiring in ring_transport.cpp.
 //
 // Threading contract:
-//   - deliver() on an endpoint attached as rank r may be called by r's rank
-//     thread and r's progress-engine thread, but never concurrently for the
-//     same (endpoint) — Comm guarantees this by flushing the engine before
-//     every blocking send.
+//   - only rank r's thread calls deliver() on r's endpoint, so each
+//     (sender, receiver) ring has exactly one producer.
 //   - pop_match / pop_match_any / try_pop_match on an endpoint are called
 //     only by the owning rank thread.
 //   - purge_tag_range(lo, hi) requires the tag range to be quiescent: no
@@ -33,6 +31,7 @@
 
 #include "net/message.hpp"
 #include "serial/bytes.hpp"
+#include "support/fields.hpp"
 
 namespace triolet::net {
 
@@ -51,16 +50,21 @@ struct TransportOptions {
   long eager_bytes = -1;
 };
 
-/// Message-plane counters the transport increments as it moves traffic.
-/// Relaxed atomics because Comm keeps one shard per producing thread (rank
-/// thread, progress engine) and only sums them at snapshot time.
-struct MsgCounters {
-  std::atomic<std::int64_t> eager_msgs{0};
-  std::atomic<std::int64_t> rendezvous_msgs{0};
-  std::atomic<std::int64_t> pool_hits{0};
-  std::atomic<std::int64_t> pool_misses{0};
-  std::atomic<std::int64_t> ring_full_stalls{0};
+/// Message-plane counters the transport increments as it moves traffic:
+/// protocol split and buffer-pool behavior. Plain fields, bumped by the
+/// sending rank's thread only. After warmup, pool_misses staying flat is
+/// the zero-steady-state-allocation property; ring_full_stalls counts sends
+/// that overflowed a full ring into the (ordered, unbounded) overflow lane.
+struct MsgStats {
+  std::int64_t eager_msgs = 0;        // payloads copied into pooled slabs
+  std::int64_t rendezvous_msgs = 0;   // payloads handed off whole
+  std::int64_t pool_hits = 0;         // slab allocations served by freelists
+  std::int64_t pool_misses = 0;       // slab allocations that hit the heap
+  std::int64_t ring_full_stalls = 0;  // sends diverted to the overflow lane
 };
+
+TRIOLET_STATS_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
+                     pool_misses, ring_full_stalls)
 
 class Transport {
   class Domain;  // one tag band's P*P fabric (ring_transport.cpp)
@@ -78,7 +82,7 @@ class Transport {
     /// before return, so they only need to live for the call. Throws
     /// BufferOverflow when sg.size() exceeds the configured limit.
     void deliver(int dst, int tag, serial::SegmentedBytes sg,
-                 MsgCounters& counters);
+                 MsgStats& stats);
 
     /// Blocks until a message matching (src, tag) is available and removes
     /// it. kAnySource / kAnyTag act as wildcards; a kAnyTag pattern only

@@ -25,7 +25,7 @@ JobResult JobHandle::wait() {
 
 JobManager::JobManager(ServiceOptions options)
     : opts_(options),
-      state_(options.nranks, /*max_message_bytes=*/0),
+      state_(options.nranks, net::TransportOptions{}),
       arbiter_(options.quantum_items) {
   TRIOLET_CHECK(opts_.nranks >= 1, "service needs at least one rank");
   TRIOLET_CHECK(opts_.threads_per_rank >= 1,
@@ -227,9 +227,6 @@ void JobManager::run_group(net::TagMap band,
       try {
         JobContext ctx(&comm, jobs[j]->id, &jobs[j]->opts.name, &arbiter_);
         jobs[j]->body(ctx);
-        // Drain queued isends so a fire-and-forget error is charged to the
-        // job that posted it, not the batch neighbor that follows.
-        comm.flush_async();
       } catch (const net::ClusterAborted&) {
         // Secondary failure: this rank was blocked when a peer (or the
         // whole cluster) aborted. The root cause is recorded elsewhere.
@@ -253,7 +250,6 @@ void JobManager::run_group(net::TagMap band,
       run_secs[j] = std::max(run_secs[j], secs);
       completed_ranks[j] += 1;
     }
-    comm.quiesce();
   };
 
   std::vector<std::thread> ranks;

@@ -122,7 +122,7 @@ TEST_F(SgemmVariants, EdenFarmMatchesC) {
 TEST_F(SgemmVariants, EdenFarmFailsUnderBoundedBuffer) {
   // The paper's §4.3 observation reproduced functionally: with a bounded
   // message buffer, shipping whole matrices kills the job.
-  net::ClusterOptions opts;
+  net::TransportOptions opts;
   opts.max_message_bytes = 512;
   auto res = net::Cluster::run(
       3, [&](net::Comm& c) { (void)sgemm_eden_farm(c, p); }, opts);

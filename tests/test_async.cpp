@@ -1,6 +1,7 @@
-// Tests for asynchronous messaging: isend/irecv handles, wait_any/wait_all,
-// progress-engine ordering and error deferral, abort cancellation, the
-// zero-copy send accounting, and the reserved tag-band audit.
+// Tests for posted receives and send semantics: irecv handles,
+// wait_any/wait_all, sends that finish on the calling rank thread (buffer
+// reuse, errors at the call site), the zero-copy send accounting, and the
+// reserved tag-band audit.
 
 #include <gtest/gtest.h>
 
@@ -16,62 +17,26 @@
 namespace triolet::net {
 namespace {
 
-TEST(Async, IsendDeliversTypedValues) {
-  auto res = Cluster::run(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      PendingSend s = c.isend(1, 5, std::vector<int>{1, 2, 3});
-      s.wait();
-    } else {
-      auto v = c.recv<std::vector<int>>(0, 5);
-      EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
-    }
-  });
-  EXPECT_TRUE(res.ok);
-}
-
-TEST(Async, SenderBufferReusableImmediatelyAfterIsend) {
-  // isend takes the value by value: mutating the caller's vector after the
-  // call must not affect what the receiver sees.
+TEST(Async, SenderBufferReusableImmediatelyAfterSend) {
+  // 2,000 doubles are borrowed into the payload and take the rendezvous
+  // path, so send() must finish its gather before it returns: the caller
+  // overwrites its vector before the receiver even starts to receive.
   auto res = Cluster::run(2, [](Comm& c) {
     if (c.rank() == 0) {
       std::vector<double> buf(2000, 1.0);
-      PendingSend s = c.isend(1, 7, buf);
-      std::fill(buf.begin(), buf.end(), -9.0);  // engine owns its own copy
-      s.wait();
+      c.send(1, 7, buf);
+      std::fill(buf.begin(), buf.end(), -9.0);
+      c.barrier();
     } else {
+      c.barrier();
       auto v = c.recv<std::vector<double>>(0, 7);
       EXPECT_EQ(v.size(), 2000u);
       EXPECT_TRUE(std::all_of(v.begin(), v.end(),
                               [](double x) { return x == 1.0; }));
     }
   });
-  EXPECT_TRUE(res.ok);
-}
-
-TEST(Async, FifoOrderPreservedBetweenIsends) {
-  auto res = Cluster::run(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 50; ++i) (void)c.isend(1, 3, i);
-    } else {
-      for (int i = 0; i < 50; ++i) EXPECT_EQ(c.recv<int>(0, 3), i);
-    }
-  });
-  EXPECT_TRUE(res.ok);
-}
-
-TEST(Async, BlockingSendNeverOvertakesQueuedIsends) {
-  // A blocking send flushes the progress engine first, so the sync message
-  // arrives strictly after every isend posted before it.
-  auto res = Cluster::run(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 20; ++i) (void)c.isend(1, 3, i);
-      c.send(1, 3, 99);
-    } else {
-      for (int i = 0; i < 20; ++i) EXPECT_EQ(c.recv<int>(0, 3), i);
-      EXPECT_EQ(c.recv<int>(0, 3), 99);
-    }
-  });
-  EXPECT_TRUE(res.ok);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.total_stats.bytes_zero_copy, 16000);
 }
 
 TEST(Async, IrecvWaitAndTest) {
@@ -127,7 +92,7 @@ TEST(Async, WaitAllCompletesEveryHandle) {
       }
       EXPECT_EQ(sum, 1 + 2 + 3);
     } else {
-      (void)c.isend(0, 9, c.rank()).wait();
+      c.send(0, 9, c.rank());
     }
   });
   EXPECT_TRUE(res.ok);
@@ -163,57 +128,18 @@ TEST(Async, SmallMessagesStayOnTheCopiedPath) {
   EXPECT_EQ(res.total_stats.bytes_copied, res.total_stats.bytes_sent);
 }
 
-TEST(Async, DetachedIsendErrorSurfacesAtFlush) {
-  // Fire-and-forget isend into a bounded buffer: the handle is dropped,
-  // but Cluster::run flushes the engine at body end and the rank fails.
-  ClusterOptions opts;
-  opts.max_message_bytes = 64;
-  auto res = Cluster::run(
-      2,
-      [](Comm& c) {
-        if (c.rank() == 0) {
-          (void)c.isend(1, 1, std::vector<double>(1000, 1.0));
-        } else {
-          // Do not block on the oversized message; the abort releases us if
-          // we are still waiting when rank 0's flush fails.
-          (void)c.try_recv<std::vector<double>>(0, 1);
-        }
-      },
-      opts);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("buffer"), std::string::npos);
-}
-
-TEST(Async, HandleDroppedAfterCompletionSurfacesAtFlush) {
-  // The handle is still held when its isend fails (flush_async drains the
-  // engine first), then goes out of scope unobserved: dropping it defers the
-  // error to Cluster::run's final flush, and the rank fails.
-  ClusterOptions opts;
-  opts.max_message_bytes = 64;
-  auto res = Cluster::run(
-      2,
-      [](Comm& c) {
-        if (c.rank() == 0) {
-          PendingSend s = c.isend(1, 1, std::vector<double>(1000, 1.0));
-          c.flush_async();
-        }
-      },
-      opts);
-  EXPECT_FALSE(res.ok);
-  EXPECT_NE(res.error.find("buffer"), std::string::npos);
-}
-
-TEST(Async, PendingSendWaitRethrowsDeliveryError) {
-  ClusterOptions opts;
+TEST(Async, SendThrowsDeliveryErrorAtTheCallSite) {
+  // A payload past the bounded buffer fails inside send() on the rank
+  // thread, so the rank body can catch it where it sent.
+  TransportOptions opts;
   opts.max_message_bytes = 64;
   std::atomic<bool> threw{false};
   auto res = Cluster::run(
       2,
       [&](Comm& c) {
         if (c.rank() == 0) {
-          PendingSend s = c.isend(1, 1, std::vector<double>(1000, 1.0));
           try {
-            s.wait();
+            c.send(1, 1, std::vector<double>(1000, 1.0));
           } catch (const BufferOverflow&) {
             threw.store(true);
           }
@@ -222,26 +148,6 @@ TEST(Async, PendingSendWaitRethrowsDeliveryError) {
       opts);
   EXPECT_TRUE(res.ok);  // the error was caught and handled by the rank body
   EXPECT_TRUE(threw.load());
-}
-
-TEST(Async, AbortCancelsQueuedOperations) {
-  // Rank 1 dies; rank 0's queued isends to it are cancelled rather than
-  // delivered, and the cluster reports the root cause.
-  auto res = Cluster::run(2, [](Comm& c) {
-    if (c.rank() == 0) {
-      // Block until the abort: the peer never sends.
-      try {
-        (void)c.recv<int>(1, 1);
-      } catch (const ClusterAborted&) {
-        for (int i = 0; i < 4; ++i) (void)c.isend(1, 2, i);
-        throw;
-      }
-    } else {
-      throw std::runtime_error("rank 1 exploded");
-    }
-  });
-  EXPECT_FALSE(res.ok);
-  EXPECT_EQ(res.error, "rank 1 exploded");
 }
 
 TEST(Async, IrecvUnblocksOnPeerFailure) {

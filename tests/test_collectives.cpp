@@ -256,7 +256,7 @@ std::vector<CommStats> per_rank_stats(int p,
   std::vector<CommStats> stats(static_cast<std::size_t>(p));
   auto res = Cluster::run(p, [&](Comm& c) {
     body(c);
-    stats[static_cast<std::size_t>(c.rank())] = c.stats();
+    stats[static_cast<std::size_t>(c.rank())] = c.snapshot_stats();
   });
   EXPECT_TRUE(res.ok) << res.error;
   return stats;

@@ -166,7 +166,7 @@ TEST(Farm, MasterTrafficIsWholeTaskData) {
 }
 
 TEST(Farm, BoundedBufferFailsLikeEdenSgemm) {
-  net::ClusterOptions opts;
+  net::TransportOptions opts;
   opts.max_message_bytes = 1024;
   auto res = net::Cluster::run(
       2,

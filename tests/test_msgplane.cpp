@@ -316,7 +316,7 @@ TEST(MatchTableTest, SurvivesRehashUnderManyDistinctKeys) {
 // -- eager / rendezvous boundary ----------------------------------------------
 
 TEST(EagerRendezvous, BoundarySizesRoundTripAndAreClassifiedRight) {
-  ClusterOptions opts;
+  TransportOptions opts;
   opts.eager_bytes = 64;
   auto res = Cluster::run(2, [&](Comm& c) {
     // Exactly 0, threshold, and threshold + 1 raw bytes.
@@ -346,7 +346,7 @@ TEST(EagerRendezvous, BoundarySizesRoundTripAndAreClassifiedRight) {
 }
 
 TEST(EagerRendezvous, ZeroThresholdForcesRendezvousForAllNonEmpty) {
-  ClusterOptions opts;
+  TransportOptions opts;
   opts.eager_bytes = 0;
   auto res = Cluster::run(2, [&](Comm& c) {
     if (c.rank() == 0) {

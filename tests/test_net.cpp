@@ -157,7 +157,7 @@ TEST(Cluster, AllreduceGivesEveryRankTheTotal) {
 TEST(Cluster, BoundedBufferRejectsOversizedMessage) {
   // Models Eden's failure on sgemm: "the array data is too large for Eden's
   // message-passing runtime to buffer" (paper §4.3).
-  ClusterOptions opts;
+  TransportOptions opts;
   opts.max_message_bytes = 64;
   auto res = Cluster::run(
       2,
@@ -211,7 +211,7 @@ TEST(Transport, InterruptAllWakesABlockedRingReceiver) {
   // regression hang here (and the CI TSan job flags an unsynchronized
   // notify directly).
   for (int iter = 0; iter < 50; ++iter) {
-    ClusterState state(1, 0);
+    ClusterState state(1, TransportOptions{});
     std::thread waiter([&] {
       Comm comm(0, &state);
       EXPECT_THROW((void)comm.recv<int>(kAnySource, 1), ClusterAborted);

@@ -448,7 +448,9 @@ auto static_domains(int p, SchedOptions opts, MakeIter make) {
                  seen[r] = run.domain();
                  calls[r] += 1;
                });
-    if (comm.rank() == 0) root_items = comm.stats().sched.items_executed;
+    if (comm.rank() == 0) {
+      root_items = comm.snapshot_stats().sched.items_executed;
+    }
   });
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(calls, std::vector<int>(static_cast<std::size_t>(p), 1));
@@ -961,7 +963,7 @@ TEST(SchedStreaming, SingleRankStreamsSelfIssuedAtoms) {
     auto make = [&] { return from_array(xs); };
     got = dist::reduce(comm, make, 0.0,
                        [](double a, double b) { return a + b; }, opts);
-    streamed = comm.stats().sched.streamed_grants;
+    streamed = comm.snapshot_stats().sched.streamed_grants;
   });
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_NEAR(got, expect, 1e-9 * xs.size());

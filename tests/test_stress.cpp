@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 
 #include "core/triolet.hpp"
 #include "dist/skeletons.hpp"
 #include "net/cluster.hpp"
+#include "net/ring_transport.hpp"
 #include "runtime/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -95,6 +97,57 @@ TEST(Stress, SixteenRankAllToAllExchange) {
   EXPECT_TRUE(res.ok) << res.error;
 }
 
+TEST(Stress, SendsNeverBlockWhenEveryRingIsFull) {
+  // Every rank sends 300 messages to each peer before any rank receives
+  // (the latch), so no ring drains early: each of the 12 pairs fills its
+  // ring and spills the rest, in order, into the overflow lane. A send that
+  // blocked on a full ring would deadlock here. Every tenth message is 640
+  // doubles (5 KB, rendezvous); the rest are one 8-byte integer (eager).
+  constexpr int kRanks = 4;
+  constexpr int kPerPeer = 300;
+  constexpr std::size_t kLarge = 640;
+  constexpr std::int64_t kPairs = kRanks * (kRanks - 1);
+  net::TransportOptions opts;
+  opts.eager_bytes = 4096;  // set, so TRIOLET_EAGER_BYTES cannot move it
+  std::latch all_sent(kRanks);
+  auto value = [](int src, int dst, int i) -> std::int64_t {
+    return src * 10000 + dst * 1000 + i;
+  };
+  auto res = net::Cluster::run(
+      kRanks,
+      [&](net::Comm& c) {
+        for (int i = 0; i < kPerPeer; ++i) {
+          for (int r = 0; r < c.size(); ++r) {
+            if (r == c.rank()) continue;
+            const std::int64_t v = value(c.rank(), r, i);
+            if (i % 10 == 0) {
+              c.send(r, 7, std::vector<double>(kLarge, static_cast<double>(v)));
+            } else {
+              c.send(r, 7, v);
+            }
+          }
+        }
+        all_sent.arrive_and_wait();
+        for (int r = 0; r < c.size(); ++r) {
+          if (r == c.rank()) continue;
+          for (int i = 0; i < kPerPeer; ++i) {
+            const std::int64_t v = value(r, c.rank(), i);
+            if (i % 10 == 0) {
+              EXPECT_EQ(c.recv<std::vector<double>>(r, 7),
+                        std::vector<double>(kLarge, static_cast<double>(v)));
+            } else {
+              EXPECT_EQ(c.recv<std::int64_t>(r, 7), v);
+            }
+          }
+        }
+      },
+      opts);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.total_stats.msg.ring_full_stalls,
+            kPairs * (kPerPeer - static_cast<std::int64_t>(net::kRingSlots)));
+  EXPECT_EQ(res.total_stats.msg.rendezvous_msgs, kPairs * (kPerPeer / 10));
+}
+
 TEST(Stress, AbortStormLeavesNoHangs) {
   // Different ranks fail at different times while others are blocked.
   for (int failing = 0; failing < 4; ++failing) {
@@ -115,7 +168,7 @@ TEST(StressDeath, CorruptedPayloadIsDetectedAtReceive) {
   // the receiving side must abort rather than deliver corrupt task data.
   EXPECT_DEATH(
       {
-        net::ClusterState state(1, 0);
+        net::ClusterState state(1, net::TransportOptions{});
         net::Message m;
         m.src = 0;
         m.tag = 1;
