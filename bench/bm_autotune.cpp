@@ -1,14 +1,15 @@
 // Model-driven autotuning: hand-tuned schedules vs SchedulePolicy::kAuto on
 // an iterative skewed workload at 8 ranks.
 //
-// Every manual configuration — policy x prefetch x streaming, the knobs
-// PRs 2-5 exposed — runs the same triangular tpacf-style loop for several
-// rounds on the real in-process cluster. kAuto runs the identical loop with
+// Every manual configuration — policy x prefetch, the scheduling knobs
+// SchedOptions exposes — runs the same triangular tpacf-style loop for
+// several rounds on the real in-process cluster. kAuto runs the identical loop with
 // zero per-workload flags: round 0 is the instrumented measurement round,
 // after which the calibrated sim:: model re-picks the configuration every
 // round (src/sched/tuner.hpp). The headline number is the steady-state
 // ratio of kAuto to the best manual configuration — the price of not
-// hand-tuning.
+// hand-tuning. Each picked round also reports the model's prediction error,
+// measured / predicted - 1.
 //
 // Methodology notes: per-round wall time is rank 0's clock between cluster
 // barriers; round 0 is excluded from steady-state means for every variant
@@ -75,7 +76,6 @@ struct RoundPick {
   sched::SchedulePolicy policy = sched::SchedulePolicy::kDynamic;
   index_t grain = 0;
   bool prefetch = false;
-  bool streaming = false;
   double predicted = 0.0;
 };
 
@@ -103,7 +103,7 @@ LoopResult run_loop(const sched::SchedOptions& base, int ranks, int rounds,
       if (is_auto && comm.rank() == 0) {
         if (tuner.have_pick()) {
           const auto& p = tuner.pick();
-          ran = {p.policy, p.grain, p.prefetch, p.streaming,
+          ran = {p.policy, p.grain, p.prefetch,
                  tuner.last_predicted_seconds()};
         }
       }
@@ -131,14 +131,16 @@ LoopResult run_loop(const sched::SchedOptions& base, int ranks, int rounds,
   return out;
 }
 
-std::string config_name(sched::SchedulePolicy p, bool prefetch,
-                        bool streaming) {
+std::string config_name(sched::SchedulePolicy p, bool prefetch) {
   std::string s = sched::to_string(p);
-  if (p != sched::SchedulePolicy::kStatic) {
-    if (!prefetch) s += "-nopf";
-    if (streaming) s += "-stream";
-  }
+  if (p != sched::SchedulePolicy::kStatic && !prefetch) s += "-nopf";
   return s;
+}
+
+/// The model's relative miss on one picked round: measured / predicted - 1
+/// (0 when nothing was predicted).
+double prediction_error(const RoundPick& pick, double measured) {
+  return pick.predicted > 0.0 ? measured / pick.predicted - 1.0 : 0.0;
 }
 
 }  // namespace
@@ -178,15 +180,12 @@ int main(int argc, char** argv) {
   struct Manual {
     sched::SchedulePolicy policy;
     bool prefetch;
-    bool streaming;
   };
   const Manual manuals[] = {
-      {sched::SchedulePolicy::kStatic, true, false},
-      {sched::SchedulePolicy::kGuided, true, false},
-      {sched::SchedulePolicy::kGuided, false, false},
-      {sched::SchedulePolicy::kGuided, true, true},
-      {sched::SchedulePolicy::kDynamic, true, false},
-      {sched::SchedulePolicy::kDynamic, true, true},
+      {sched::SchedulePolicy::kStatic, true},
+      {sched::SchedulePolicy::kGuided, true},
+      {sched::SchedulePolicy::kGuided, false},
+      {sched::SchedulePolicy::kDynamic, true},
   };
 
   bool all_correct = true;
@@ -204,8 +203,7 @@ int main(int argc, char** argv) {
     sched::SchedOptions opts;
     opts.policy = m.policy;
     opts.prefetch = m.prefetch;
-    opts.streaming = m.streaming;
-    manual_names.push_back(config_name(m.policy, m.prefetch, m.streaming));
+    manual_names.push_back(config_name(m.policy, m.prefetch));
     manual_runs.push_back(run_loop(opts, ranks, rounds, costs));
     check_results(manual_runs.back());
   }
@@ -238,20 +236,26 @@ int main(int argc, char** argv) {
   t.print("per-round wall time, " + std::to_string(ranks) + " ranks (round 0 "
           "excluded from steady mean; kAuto round 0 is the measurement round)");
 
-  // What kAuto ran each round.
-  Table p({"round", "ran", "grain", "predicted (s)", "measured (s)"});
+  // What kAuto ran each round, and how far the model's prediction missed.
+  Table p({"round", "ran", "grain", "predicted (s)", "measured (s)",
+           "error"});
+  std::vector<double> abs_errors;
   for (std::size_t r = 0; r < auto_run.round_seconds.size(); ++r) {
     const bool measure_round = r == 0;
     const RoundPick& pick = auto_run.picks[r];
+    const double err = prediction_error(pick, auto_run.round_seconds[r]);
+    if (!measure_round) abs_errors.push_back(std::abs(err));
     p.add_row({Table::num(static_cast<std::int64_t>(r)),
                measure_round ? "measure (dynamic-nopf)"
-                             : config_name(pick.policy, pick.prefetch,
-                                           pick.streaming),
+                             : config_name(pick.policy, pick.prefetch),
                measure_round ? "auto" : Table::num(pick.grain),
                measure_round ? "-" : Table::num(pick.predicted, 4),
-               Table::num(auto_run.round_seconds[r], 4)});
+               Table::num(auto_run.round_seconds[r], 4),
+               measure_round ? "-" : Table::num(100.0 * err, 1) + "%"});
   }
-  p.print("kAuto per-round schedule");
+  p.print("kAuto per-round schedule (error = measured / predicted - 1)");
+  const double median_abs_error =
+      abs_errors.empty() ? 0.0 : summarize(abs_errors).median;
 
   const double ratio = auto_steady / best_manual;
   const double bound = check_only ? 2.5 : 1.5;
@@ -286,19 +290,23 @@ int main(int argc, char** argv) {
     std::printf("]}%s\n", i + 1 < manual_runs.size() ? "," : "");
   }
   std::printf("  },\n");
-  std::printf("  \"auto\": {\"steady_seconds\": %.4f, \"rounds\": [\n",
-              auto_steady);
+  std::printf("  \"auto\": {\"steady_seconds\": %.4f, "
+              "\"median_abs_prediction_error\": %.3f, \"rounds\": [\n",
+              auto_steady, median_abs_error);
   for (std::size_t r = 0; r < auto_run.round_seconds.size(); ++r) {
     const RoundPick& pick = auto_run.picks[r];
     std::printf("    {\"round\": %zu, \"ran\": \"%s\", \"grain\": %lld, "
-                "\"predicted_seconds\": %.4f, \"seconds\": %.4f}%s\n",
+                "\"predicted_seconds\": %.4f, \"seconds\": %.4f",
                 r,
                 r == 0 ? "measure"
-                       : config_name(pick.policy, pick.prefetch,
-                                     pick.streaming).c_str(),
+                       : config_name(pick.policy, pick.prefetch).c_str(),
                 static_cast<long long>(r == 0 ? 0 : pick.grain),
-                r == 0 ? 0.0 : pick.predicted, auto_run.round_seconds[r],
-                r + 1 < auto_run.round_seconds.size() ? "," : "");
+                r == 0 ? 0.0 : pick.predicted, auto_run.round_seconds[r]);
+    if (r > 0) {
+      std::printf(", \"prediction_error\": %.3f",
+                  prediction_error(pick, auto_run.round_seconds[r]));
+    }
+    std::printf("}%s\n", r + 1 < auto_run.round_seconds.size() ? "," : "");
   }
   std::printf("  ]},\n");
   std::printf("  \"best_manual\": {\"name\": \"%s\", \"steady_seconds\": "

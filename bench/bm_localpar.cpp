@@ -14,8 +14,7 @@
 //
 // Flags: --workers=N --reps=N --check (CI smoke mode: asserts the
 // lazy-splitting invariant — a balanced loop on a busy pool sheds almost
-// no tasks to thieves — at 4 workers, and that the streamed grant path
-// executes grants and matches the non-streamed sum at 4 ranks).
+// no tasks to thieves — at 4 workers).
 
 #include <atomic>
 #include <cmath>
@@ -32,8 +31,6 @@
 #include "apps/driver.hpp"
 #include "bench_problems.hpp"
 #include "core/triolet.hpp"
-#include "dist/skeletons.hpp"
-#include "net/cluster.hpp"
 #include "runtime/parallel.hpp"
 #include "support/table.hpp"
 #include "support/timing.hpp"
@@ -205,54 +202,6 @@ int run_checks() {
           total.load() == 5 * 20000);
     check("lazy splitting: tasks_stolen << tasks_executed (4 workers)",
           st.tasks_executed > 0 && st.tasks_stolen * 10 < st.tasks_executed);
-  }
-
-  // Streamed grant path: grants execute through the node pool while the
-  // next grant is in flight, and the sum matches the non-streamed run.
-  {
-    constexpr index_t kN = 512;
-    Array1<double> xs(kN);
-    for (index_t i = 0; i < kN; ++i) xs[i] = static_cast<double>(i);
-    auto run = [&](bool streaming) {
-      sched::SchedOptions opts{sched::SchedulePolicy::kDynamic,
-                               sched::CombineMode::kOrdered, 32};
-      opts.streaming = streaming;
-      double result = 0.0;
-      net::SchedStats sched_stats;
-      runtime::PoolStats pool_stats;
-      auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-        dist::NodeRuntime node(2);
-        auto make = [&] {
-          return core::map(core::from_array(xs), [](double x) {
-            double v = 0.0;
-            for (int k = 0; k < 64; ++k) v += std::sin(v + 1e-3 * k + x);
-            return v;
-          });
-        };
-        double r = dist::reduce(comm, make, 0.0,
-                                [](double a, double b) { return a + b; },
-                                opts);
-        if (comm.rank() == 0) result = r;
-      });
-      if (!res.ok) {
-        std::fprintf(stderr, "cluster failed: %s\n", res.error.c_str());
-        std::exit(1);
-      }
-      sched_stats = res.total_stats.sched;
-      pool_stats = res.total_stats.pool;
-      return std::make_tuple(result, sched_stats, pool_stats);
-    };
-    auto [plain, plain_sched, plain_pool] = run(false);
-    auto [streamed, stream_sched, stream_pool] = run(true);
-    check("streamed sum bitwise identical to non-streamed (4 ranks)",
-          std::memcmp(&plain, &streamed, sizeof(double)) == 0);
-    check("streaming executed every chunk as a streamed grant",
-          stream_sched.streamed_grants > 0 &&
-              stream_sched.streamed_grants == stream_sched.chunks_executed);
-    check("non-streamed run records no streamed grants",
-          plain_sched.streamed_grants == 0);
-    check("node pools did the streamed work",
-          stream_pool.tasks_executed > 0);
   }
 
   return failures == 0 ? 0 : 1;

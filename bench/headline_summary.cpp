@@ -146,7 +146,7 @@ int main() {
   // -- autotuned scheduling: zero flags vs the best hand-tuned schedule -------
   // A real (not simulated) 8-rank run of the skewed tpacf-shaped loop:
   // SchedulePolicy::kAuto measures round 0, calibrates the sim:: model, and
-  // re-picks its own policy/grain/prefetch/streaming each round
+  // re-picks its own policy/grain/prefetch each round
   // (bm_autotune has the full sweep and the per-round picks).
   {
     Array1<double> costs(1024);

@@ -27,7 +27,6 @@
 #include "array/array.hpp"
 #include "core/iter.hpp"
 #include "runtime/parallel.hpp"
-#include "support/timing.hpp"
 
 namespace triolet::core {
 
@@ -400,69 +399,6 @@ auto build_array2(const IdxFlatIter<D, Src, Ext>& it) {
   Block2<V> block = build_block2(it);
   return Array2<V>(dom.y0, dom.rows(), dom.cols(), std::move(block.data));
 }
-
-// -- streaming ------------------------------------------------------------------
-
-/// Feeds work arriving from elsewhere (demand-scheduler grants, resident
-/// slice chunks) into a thread pool as it lands, instead of executing each
-/// piece inline on the receiving thread: the node computes on chunk k while
-/// chunk k+1 is still in flight. The submitting thread stays free to keep
-/// receiving; `drain()` joins everything before results are combined.
-///
-/// Submissions take the pool's boxed (heap) task path — one allocation per
-/// chunk, amortized by the network latency the chunk just paid.
-///
-/// Not thread-safe: one receiving thread submits, many workers execute.
-class StreamingConsumer {
- public:
-  explicit StreamingConsumer(runtime::ThreadPool& pool) : pool_(pool) {}
-  ~StreamingConsumer() { drain(); }
-
-  StreamingConsumer(const StreamingConsumer&) = delete;
-  StreamingConsumer& operator=(const StreamingConsumer&) = delete;
-
-  /// Enqueues `fn` on the pool. `fn` (and anything it references) must stay
-  /// valid until drain() returns; callables submitted concurrently must be
-  /// safe to run concurrently.
-  template <typename Fn>
-  void submit(Fn fn) {
-    submitted_ += 1;
-    pool_.submit(group_, [this, fn = std::move(fn)]() mutable {
-      Stopwatch sw;
-      fn();
-      busy_ns_.fetch_add(static_cast<std::int64_t>(sw.seconds() * 1e9),
-                         std::memory_order_relaxed);
-    });
-  }
-
-  /// Blocks until every submitted callable has finished (helping the pool).
-  void drain() { pool_.wait(group_); }
-
-  /// Runs one queued pool task on the calling thread if one is available —
-  /// the receiving thread's backpressure valve when too much is in flight.
-  bool help() { return pool_.try_run_one(); }
-
-  /// Submitted callables not yet finished.
-  std::int64_t pending() const { return group_.pending(); }
-
-  /// Total callables submitted so far.
-  std::int64_t submitted() const { return submitted_; }
-
-  /// Summed wall time spent inside submitted callables across all workers
-  /// (may exceed elapsed time: workers run concurrently).
-  double busy_seconds() const {
-    return static_cast<double>(busy_ns_.load(std::memory_order_relaxed)) *
-           1e-9;
-  }
-
-  runtime::ThreadPool& pool() { return pool_; }
-
- private:
-  runtime::ThreadPool& pool_;
-  runtime::TaskGroup group_;
-  std::int64_t submitted_ = 0;
-  std::atomic<std::int64_t> busy_ns_{0};
-};
 
 }  // namespace triolet::core
 

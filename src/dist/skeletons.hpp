@@ -58,7 +58,7 @@ struct NodeRuntime {
 /// Options for the model-driven scheduler (SchedulePolicy::kAuto,
 /// src/sched/tuner.hpp): the first round of the keyed job runs an
 /// instrumented measurement configuration, and every later round runs
-/// whatever concrete policy/grain/prefetch/streaming combination the
+/// whatever concrete policy/grain/prefetch combination the
 /// calibrated sim:: model predicts fastest — zero per-workload flags.
 /// Skeletons that pass the same `tune_key` on the same Comm share one
 /// tuner, so the several reductions of one iterative job accumulate into

@@ -15,10 +15,10 @@ void ClusterState::interrupt_all() { transport.interrupt_all(); }
 void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg) {
   const auto zero_copy = static_cast<std::int64_t>(sg.bytes_borrowed());
   const auto total = static_cast<std::int64_t>(sg.size());
-  // The stamp is the checksum accumulated at *write* time, not a hash of
-  // the gathered bytes: a borrowed span that was sliced wrong or mutated
-  // between serialization and the transport's gather fails validation at
-  // the receiver instead of checksumming itself consistently.
+  // The single send-side mapping point: every send routes through here.
+  // Counted only once the transport accepts it: a send that throws (say,
+  // BufferOverflow) was never sent.
+  endpoint_->deliver(dst, tags_.map(tag), std::move(sg), stats_.msg);
   stats_.messages_sent += 1;
   stats_.bytes_sent += total;
   stats_.bytes_zero_copy += zero_copy;
@@ -28,8 +28,6 @@ void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg) {
     c.messages_sent += 1;
     c.bytes_sent += total;
   }
-  // The single send-side mapping point: every send routes through here.
-  endpoint_->deliver(dst, tags_.map(tag), std::move(sg), stats_.msg);
 }
 
 void Comm::send_segments(int dst, int tag, serial::SegmentedBytes sg) {

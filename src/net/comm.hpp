@@ -89,13 +89,6 @@ struct SchedStats {
   double idle_seconds = 0.0;           // waiting for a grant (steal latency)
   std::int64_t steal_waits = 0;        // number of request->grant waits
 
-  /// Streaming grant execution (SchedOptions::streaming): grants handed to
-  /// the rank's thread pool instead of run inline, and the portion of grant
-  /// wait time during which the pool still had streamed work in flight —
-  /// the "busy while receiving" overlap the two-level pipeline buys.
-  std::int64_t streamed_grants = 0;
-  double overlap_seconds = 0.0;
-
   /// Receiver-side grant payload accounting (the data a grant carried, as
   /// opposed to control_bytes): total serialized payload bytes of received
   /// work grants and the outer-domain units those grants covered. Their
@@ -108,8 +101,8 @@ struct SchedStats {
 TRIOLET_STATS_FIELDS(SchedStats, requests_sent, grants_served,
                      grants_received, chunks_executed, items_executed,
                      control_messages, control_bytes, busy_seconds,
-                     idle_seconds, steal_waits, streamed_grants,
-                     overlap_seconds, grant_payload_bytes, granted_items)
+                     idle_seconds, steal_waits, grant_payload_bytes,
+                     granted_items)
 
 /// Fused-view and halo-exchange attribution (src/dist/ views + stencils).
 /// view_* counts leaf-slice payloads a *composite* resident source (zip /

@@ -167,6 +167,10 @@ class Transport::Domain {
     d.src = src;
     d.tag = tag;
     d.size = n;
+    // The stamp is the checksum accumulated at *write* time, not a hash of
+    // the gathered bytes: a borrowed span that was sliced wrong or mutated
+    // between serialization and this gather fails validation at the
+    // receiver instead of checksumming itself consistently.
     d.checksum = sg.stream_checksum();
     if (n <= eager_bytes_ || n == 0) {
       d.kind = RingDesc::kEager;

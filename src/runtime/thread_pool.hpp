@@ -161,10 +161,6 @@ class ThreadPool {
   /// queued tasks while waiting.
   void wait(TaskGroup& group);
 
-  /// Runs one queued task if any is available. Returns false when no task
-  /// could be obtained. Exposed for tests and for cooperative waiting.
-  bool try_run_one();
-
   /// True when at least one worker is hungry: seeking work or parked. A
   /// thread helping in wait() does not count. The lazy splitter forks only
   /// while this holds, so a fully-busy pool executes ranges sequentially
@@ -199,6 +195,9 @@ class ThreadPool {
   bool try_acquire(int self, TaskSlot& out);
   bool try_acquire_injected(TaskSlot& out);
   void run_slot(TaskSlot& slot);
+  /// Runs one queued task if any is available (wait()'s helping step).
+  /// Returns false when no task could be obtained.
+  bool try_run_one();
   void wake_one();
   void park(int idx);
   bool work_visible() const;

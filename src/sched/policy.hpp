@@ -98,16 +98,6 @@ struct SchedOptions {
   /// preceding it. Never changes which atoms exist or how kOrdered combines
   /// them — results stay bitwise identical with it on or off.
   bool prefetch = true;
-  /// Streamed grant execution (kGuided/kDynamic; kStatic has one grant and
-  /// ignores it): instead of running each grant inline on the rank thread,
-  /// hand it to the rank's thread pool (core::StreamingConsumer) and go
-  /// straight back to receiving — the node computes on chunk k while chunk
-  /// k+1 is in flight, and the root keeps serving requests while its own
-  /// atoms execute. SchedStats::streamed_grants / overlap_seconds record
-  /// how much pipeline this bought. Per-atom decomposition and compute are
-  /// unchanged (same pool, same grain), so kOrdered results stay bitwise
-  /// identical with streaming on or off.
-  bool streaming = false;
   /// Tuner state for SchedulePolicy::kAuto. When null, run_chunks keeps a
   /// registry of AutoTuners on the Comm keyed by `tune_key`, so iterative
   /// jobs accumulate measurements across rounds with zero per-workload

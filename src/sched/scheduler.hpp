@@ -40,9 +40,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,23 +116,6 @@ void execute_run(net::Comm& comm, Grant<It> g, OnChunk&& on_chunk) {
       grant_items(g.grain, g.atom_n, core::outer_extent(g.task.domain()));
 }
 
-/// Streamed counterpart of execute_run: hands the grant to the pool via
-/// `stream` and returns immediately (the receiving thread goes back to the
-/// protocol). Chunk/item counters are charged here; busy time is folded in
-/// from the stream once it drains.
-template <typename It, typename OnChunk>
-void stream_run(net::Comm& comm, core::StreamingConsumer& stream, Grant<It> g,
-                const OnChunk& on_chunk) {
-  g.task.hint = core::ParHint::kLocal;
-  auto& s = comm.sched_stats();
-  s.chunks_executed += 1;
-  s.items_executed += core::outer_extent(g.task.domain());
-  s.streamed_grants += 1;
-  stream.submit([g = std::move(g), &on_chunk] {
-    on_chunk(g.task, g.atom_lo, g.atom_n, g.grain);
-  });
-}
-
 /// kStatic's node blocks, one per rank (see SchedulePolicy::kStatic). A
 /// nest over a Seq domain whose inner iterators have size() is cut at equal
 /// shares of inner elements, estimated from at most core::kWeightStrata
@@ -179,19 +160,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
   const int p = comm.size();
   auto& sched = comm.sched_stats();
   detail::PoolDeltaScope pool_delta(comm);
-
-  // Streamed grant execution: created only for the demand-driven policies
-  // (kStatic pushes one grant per rank up front — nothing to pipeline).
-  std::optional<core::StreamingConsumer> stream;
-  if (opts.streaming && opts.policy != SchedulePolicy::kStatic) {
-    stream.emplace(runtime::current_pool());
-  }
-  // Backpressure: stop requesting (worker) / self-issuing (root) while more
-  // than ~2 tasks per worker are already in flight; the receiving thread
-  // helps execute instead. Bounds queue growth without ever idling the
-  // pool.
-  const std::int64_t throttle =
-      stream ? 2 * static_cast<std::int64_t>(stream->pool().size()) : 0;
 
   // This invocation's epoch-rotated protocol tags. Without the rotation a
   // fast worker's next-round request reaching the root's drain loop would be
@@ -246,15 +214,9 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     };
     net::PendingRecv next_grant = post_request();
     while (true) {
-      // Sampled before the wait: was the pool still chewing on earlier
-      // chunks when this rank went back to receiving? That wait time is
-      // overlap, even if the chunks finish mid-wait.
-      const bool busy_while_receiving = stream && stream->pending() > 0;
       Stopwatch wait;
       Grant<It> g = next_grant.get<Grant<It>>();
-      const double waited = wait.seconds();
-      sched.idle_seconds += waited;
-      if (busy_while_receiving) sched.overlap_seconds += waited;
+      sched.idle_seconds += wait.seconds();
       sched.steal_waits += 1;
       if (g.done) break;
       sched.grants_received += 1;
@@ -264,16 +226,7 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       sched.grant_payload_bytes +=
           static_cast<std::int64_t>(next_grant.message().payload.size());
       sched.granted_items += core::outer_extent(g.task.domain());
-      if (stream) {
-        // Hand the grant to the pool and immediately request the next one;
-        // when too much is queued, help execute before requesting (the
-        // request is the throttle: at most one is ever outstanding).
-        detail::stream_run(comm, *stream, std::move(g), on_chunk);
-        while (stream->pending() > throttle) {
-          if (!stream->help()) std::this_thread::yield();
-        }
-        next_grant = post_request();
-      } else if (opts.prefetch) {
+      if (opts.prefetch) {
         // Double-buffered grants: the request for run k+1 is already in
         // flight while run k executes, hiding the service round trip
         // behind compute.
@@ -283,10 +236,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
         detail::execute_run(comm, std::move(g), on_chunk);
         next_grant = post_request();
       }
-    }
-    if (stream) {
-      stream->drain();
-      sched.busy_seconds += stream->busy_seconds();
     }
     return;
   }
@@ -408,46 +357,16 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
         served = true;
       }
       if (served) continue;
-      if (stream) {
-        // Streamed self-issue: the root's own atoms execute on its pool,
-        // so the service loop stays responsive the whole time — a grant is
-        // never delayed by even one atom of root compute. Self-issue pauses
-        // (and the root helps its pool) while enough is queued.
-        if (stream->pending() > throttle) {
-          if (!stream->help()) std::this_thread::yield();
-          continue;
-        }
-        gate_items(next, next + 1);
-        detail::stream_run(
-            comm, *stream,
-            Grant<It>{0, next, 1, grain, slice_run(next, next + 1)},
-            on_chunk);
-        next += 1;
-      } else {
-        // No demand right now: run one atom locally, then poll again.
-        gate_items(next, next + 1);
-        detail::execute_run(
-            comm, Grant<It>{0, next, 1, grain, slice_run(next, next + 1)},
-            on_chunk);
-        next += 1;
-      }
+      // No demand right now: run one atom locally, then poll again.
+      gate_items(next, next + 1);
+      detail::execute_run(
+          comm, Grant<It>{0, next, 1, grain, slice_run(next, next + 1)},
+          on_chunk);
+      next += 1;
     } else {
-      // Queue drained: block for the stragglers' final requests. Streamed
-      // root atoms keep computing on the pool underneath this blocking
-      // receive — that compute is exactly the overlap the stream buys.
-      const bool busy_while_receiving = stream && stream->pending() > 0;
-      Stopwatch wait;
-      net::Message req =
-          comm.recv_message(net::kAnySource, tag_request);
-      if (busy_while_receiving) {
-        sched.overlap_seconds += wait.seconds();
-      }
-      serve(req.src);
+      // Queue drained: block for the stragglers' final requests.
+      serve(comm.recv_message(net::kAnySource, tag_request).src);
     }
-  }
-  if (stream) {
-    stream->drain();
-    sched.busy_seconds += stream->busy_seconds();
   }
 }
 
@@ -458,15 +377,9 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
 /// rank that executes each granted run (a kStatic block arrives with grain
 /// 0; see Grant). `make` is called on rank 0 only, so non-root ranks never
 /// need the input data; `on_chunk` runs on every rank for its own grants,
-/// with the run hinted kLocal. Collective: every rank must call it.
-///
-/// With opts.streaming (kGuided/kDynamic), grants are handed to the rank's
-/// current_pool() through a core::StreamingConsumer as they arrive, so
-/// on_chunk may run on pool workers, *concurrently* with itself — callers
-/// that pass streaming options must make on_chunk thread-safe. The stream
-/// is drained before run_chunks returns, so results are complete either
-/// way. Under SchedulePolicy::kAuto the tuner may pick any lattice point —
-/// including streaming — so on_chunk must be thread-safe under kAuto too.
+/// on the rank thread, one grant at a time, with the run hinted kLocal (its
+/// skeleton fans out over the node's pool). Collective: every rank must
+/// call it.
 template <typename MakeIter, typename OnChunk>
 void run_chunks(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
                 OnChunk&& on_chunk) {
@@ -518,23 +431,19 @@ A sum_arrays(A a, const A& b) {
 
 /// The kTree combine of the reducing skeletons: runs `make()` under `opts`
 /// and folds one `partial(run)` per grant with `op`. Each rank folds its
-/// partials as they complete (ascending atom order unless opts.streaming),
-/// seeded with the first one, so a rank's lone kStatic partial enters the
-/// tree untouched; a rank without grants contributes `none()`. The rank
-/// results combine along Comm::reduce; rank 0 gets the result, other ranks
-/// a default value.
+/// partials in the order it runs its grants (ascending atom order), seeded
+/// with the first one, so a rank's lone kStatic partial enters the tree
+/// untouched; a rank without grants contributes `none()`. The rank results
+/// combine along Comm::reduce; rank 0 gets the result, other ranks a
+/// default value.
 template <typename MakeIter, typename None, typename Partial, typename Op>
 auto tree_reduce(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
                  None none, Partial partial, Op op) {
   using T = decltype(none());
-  // Streamed chunks run concurrently on pool workers: partials are computed
-  // outside the lock and only merged under it (uncontended otherwise).
-  std::mutex mu;
   std::optional<T> acc;
   run_chunks(comm, make, opts,
              [&](const auto& run, index_t, index_t, index_t) {
                T part = partial(run);
-               std::lock_guard<std::mutex> lock(mu);
                acc = acc ? op(std::move(*acc), std::move(part))
                          : std::move(part);
              });
@@ -548,7 +457,7 @@ auto tree_reduce(net::Comm& comm, MakeIter&& make, const SchedOptions& opts,
 ///
 /// kTree: per-rank partials combine along the binomial reduce tree (exact
 /// for associative + commutative ops; FP parenthesization follows the chunk
-/// assignment, and under streaming the completion order too).
+/// assignment).
 /// kOrdered: one partial per atom, gathered and left-folded in atom order —
 /// bitwise identical for all three policies and run-to-run (for a fixed
 /// per-node thread count).
@@ -556,29 +465,19 @@ template <typename MakeIter, typename T, typename Op>
 T reduce(net::Comm& comm, MakeIter&& make, T init, Op op,
          const SchedOptions& opts = {}) {
   if (opts.combine == CombineMode::kOrdered) {
-    // Every on_chunk computes its partials outside the lock and only merges
-    // under it: with opts.streaming, chunks run concurrently on pool
-    // workers (the lock is uncontended on the non-streaming path).
-    std::mutex mu;
     std::vector<std::pair<index_t, T>> mine;
     run_chunks(comm, make, opts,
                [&](const auto& run, index_t atom_lo, index_t atom_n,
                    index_t grain) {
                  const auto rdom = run.domain();
                  const index_t run_extent = core::outer_extent(rdom);
-                 std::vector<std::pair<index_t, T>> local;
-                 local.reserve(static_cast<std::size_t>(atom_n));
                  for (index_t j = 0; j < atom_n; ++j) {
                    const index_t u0 = std::min(j * grain, run_extent);
                    const index_t u1 = std::min((j + 1) * grain, run_extent);
                    auto atom = run.slice(core::outer_slice(rdom, u0, u1));
-                   local.emplace_back(atom_lo + j,
-                                      core::reduce(atom, init, op));
+                   mine.emplace_back(atom_lo + j,
+                                     core::reduce(atom, init, op));
                  }
-                 std::lock_guard<std::mutex> lock(mu);
-                 mine.insert(mine.end(),
-                             std::make_move_iterator(local.begin()),
-                             std::make_move_iterator(local.end()));
                });
     auto parts = comm.gather(mine, 0);
     if (comm.rank() != 0) return T{};
@@ -706,16 +605,10 @@ auto build_array1(net::Comm& comm, MakeIter&& make,
                   const SchedOptions& opts = {}) {
   using It = std::remove_cvref_t<decltype(make())>;
   using V = typename It::value_type;
-  // Part placement is positional (each part carries its base offset), so
-  // streamed completion order is irrelevant; the lock only guards the
-  // vector growth.
-  std::mutex mu;
   std::vector<Array1<V>> mine;
   run_chunks(comm, make, opts,
              [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::build_array1(run);
-               std::lock_guard<std::mutex> lock(mu);
-               mine.push_back(std::move(part));
+               mine.push_back(core::build_array1(run));
              });
   auto gathered = comm.gather(mine, 0);
   if (comm.rank() != 0) return Array1<V>{};
@@ -749,14 +642,10 @@ auto build_array2(net::Comm& comm, MakeIter&& make,
                   const SchedOptions& opts = {}) {
   using It = std::remove_cvref_t<decltype(make())>;
   using V = typename It::value_type;
-  // Positional assembly again: blocks carry their own rectangles.
-  std::mutex mu;
   std::vector<core::Block2<V>> mine;
   run_chunks(comm, make, opts,
              [&](const auto& run, index_t, index_t, index_t) {
-               auto part = core::build_block2(run);
-               std::lock_guard<std::mutex> lock(mu);
-               mine.push_back(std::move(part));
+               mine.push_back(core::build_block2(run));
              });
   auto gathered = comm.gather(mine, 0);
   if (comm.rank() != 0) return Array2<V>{};

@@ -116,18 +116,15 @@ double predict(const std::vector<double>& atoms, const sim::Calibration& cal,
       const double run_atoms =
           static_cast<double>(atoms.size()) /
           static_cast<double>(std::max<std::size_t>(1, chunks.size()));
-      const double oh = cal.overhead_for(run_atoms * atom_payload,
-                                         mean_atom_seconds, c.streaming);
-      return (c.prefetch || c.streaming)
-                 ? sim::makespan_overlap(chunks, ranks, oh)
-                 : sim::makespan_demand(chunks, ranks, oh);
+      const double oh =
+          cal.overhead_for(run_atoms * atom_payload, mean_atom_seconds);
+      return c.prefetch ? sim::makespan_overlap(chunks, ranks, oh)
+                        : sim::makespan_demand(chunks, ranks, oh);
     }
     case SchedulePolicy::kDynamic: {
-      const double oh =
-          cal.overhead_for(atom_payload, mean_atom_seconds, c.streaming);
-      return (c.prefetch || c.streaming)
-                 ? sim::makespan_overlap(atoms, ranks, oh)
-                 : sim::makespan_demand(atoms, ranks, oh);
+      const double oh = cal.overhead_for(atom_payload, mean_atom_seconds);
+      return c.prefetch ? sim::makespan_overlap(atoms, ranks, oh)
+                        : sim::makespan_demand(atoms, ranks, oh);
     }
     case SchedulePolicy::kAuto: break;  // never evaluated
   }
@@ -145,29 +142,23 @@ SchedOptions AutoTuner::begin_round(const SchedOptions& user) {
   out.tuner = nullptr;  // the returned options are concrete, not re-tuned
   if (!have_pick_) {
     // Measurement round: one atom per grant at full duration resolution;
-    // prefetch and streaming off so the request->grant wait measures the
-    // whole unhidden control round trip.
+    // prefetch off so the request->grant wait measures the whole unhidden
+    // control round trip.
     out.policy = SchedulePolicy::kDynamic;
     out.prefetch = false;
-    out.streaming = false;
   } else {
     out.policy = pick_.policy;
     out.grain = pick_.grain;
     out.prefetch = pick_.prefetch;
-    out.streaming = pick_.streaming;
   }
   ran_ = out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_.clear();
-  }
+  runs_.clear();
   return out;
 }
 
 void AutoTuner::record_run(index_t atom_lo, index_t grain, index_t units,
                            double seconds) {
   if (units <= 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
   runs_.push_back(RunSample{atom_lo * grain, units, seconds});
 }
 
@@ -184,11 +175,8 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     return;
   }
   RoundSample mine;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    mine.runs = std::move(runs_);
-    runs_.clear();
-  }
+  mine.runs = std::move(runs_);
+  runs_.clear();
   mine.wall_seconds = wall_seconds;
   mine.extent = root_extent;
   mine.domain_cv = root_cost_cv;
@@ -231,8 +219,7 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   // overlap disabled, so its wall is an instrument reading, not a
   // configuration any steady state should commit to.
   if (have_pick_) {
-    const TunedCandidate ran{ran_.policy, ran_.grain, ran_.prefetch,
-                             ran_.streaming, 0.0};
+    const TunedCandidate ran{ran_.policy, ran_.grain, ran_.prefetch, 0.0};
     ObservedConfig* hit = nullptr;
     for (auto& o : obs_) {
       if (o.cfg.same_config(ran)) hit = &o;
@@ -252,11 +239,11 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
 
   sim::Calibration c = sim::calibrate_from(sum, sum.sched, sum.pool);
   // The round-trip decomposition is only trustworthy when this round left
-  // the wait exposed: a demand policy with prefetch and streaming off
-  // (normally just the measurement round). Otherwise idle_seconds measures
-  // the *hidden* remainder — carry the last clean figures forward.
-  const bool clean_rt = ran_.policy != SchedulePolicy::kStatic &&
-                        !ran_.prefetch && !ran_.streaming;
+  // the wait exposed: a demand policy with prefetch off (normally just the
+  // measurement round). Otherwise idle_seconds measures the *hidden*
+  // remainder — carry the last clean figures forward.
+  const bool clean_rt =
+      ran_.policy != SchedulePolicy::kStatic && !ran_.prefetch;
   if (!clean_rt || c.round_trip_seconds <= 0.0) {
     c.round_trip_seconds = cal_.round_trip_seconds;
     c.service_delay_seconds = cal_.service_delay_seconds;
@@ -296,15 +283,10 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     ladder.erase(std::unique(ladder.begin(), ladder.end()), ladder.end());
   }
 
-  // Candidate lattice: policy x grain x {prefetch, streaming}. Lattice
-  // order doubles as the deterministic tie-break — earlier entries win
-  // exact ties, so the simplest adequate configuration is preferred
-  // (static before demand policies, plain prefetch before streaming).
-  struct Variant {
-    bool prefetch;
-    bool streaming;
-  };
-  constexpr Variant kVariants[] = {{true, false}, {false, false}, {true, true}};
+  // Candidate lattice: policy x grain x prefetch. Lattice order doubles as
+  // the deterministic tie-break — earlier entries win exact ties, so the
+  // simplest adequate configuration is preferred (static before demand
+  // policies, prefetch on before off).
 
   std::vector<TunedCandidate> cands;
   std::map<index_t, std::vector<double>> atoms_by_grain;
@@ -319,16 +301,11 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
        {SchedulePolicy::kStatic, SchedulePolicy::kGuided,
         SchedulePolicy::kDynamic}) {
     for (index_t g : ladder) {
-      if (policy == SchedulePolicy::kStatic) {
-        TunedCandidate c0{policy, g, true, false, 0.0};
+      for (bool prefetch : {true, false}) {
+        TunedCandidate c0{policy, g, prefetch, 0.0};
         c0.predicted_seconds = predict(atoms_for(g), cal_, p, extent, c0);
         cands.push_back(c0);
-        continue;
-      }
-      for (const Variant& v : kVariants) {
-        TunedCandidate c0{policy, g, v.prefetch, v.streaming, 0.0};
-        c0.predicted_seconds = predict(atoms_for(g), cal_, p, extent, c0);
-        cands.push_back(c0);
+        if (policy == SchedulePolicy::kStatic) break;  // no requests to hide
       }
     }
   }
@@ -344,17 +321,15 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
     mode_ = PickMode::kAudit;
     audit_.clear();
     // One round per policy, each at its default serving variant (prefetch
-    // on, streaming off) and best-predicted grain: the audit ranks
-    // *policies* by the clock; the model keeps the variant refinements it
-    // is actually good at. Bounded: at most three extra rounds.
+    // on) and best-predicted grain: the audit ranks *policies* by the clock;
+    // the model keeps the variant refinements it is actually good at.
+    // Bounded: at most three extra rounds.
     for (SchedulePolicy policy :
          {SchedulePolicy::kStatic, SchedulePolicy::kGuided,
           SchedulePolicy::kDynamic}) {
       const TunedCandidate* bp = nullptr;
       for (const auto& cand : cands) {
-        if (cand.policy != policy || !cand.prefetch || cand.streaming) {
-          continue;
-        }
+        if (cand.policy != policy || !cand.prefetch) continue;
         if (bp == nullptr || cand.predicted_seconds < bp->predicted_seconds) {
           bp = &cand;
         }
@@ -396,7 +371,6 @@ void AutoTuner::finish_round(net::Comm& comm, double wall_seconds,
   pick_.policy = chosen.policy;
   pick_.grain = chosen.grain;
   pick_.prefetch = chosen.prefetch;
-  pick_.streaming = chosen.streaming;
   // What the model says the chosen configuration should cost — the figure
   // next round's mistrust check (and the benches' predicted column) reads.
   predicted_ = chosen.predicted_seconds;

@@ -2,22 +2,22 @@
 
 // Model-driven autotuning for the demand scheduler (SchedulePolicy::kAuto).
 //
-// PRs 2–5 left SchedOptions a pile of hand-set knobs: policy, grain,
-// prefetch, streaming. The AutoTuner closes the measure→simulate loop the
+// Without it, SchedOptions leaves three knobs to the caller: policy, grain
+// and prefetch. The AutoTuner closes the measure→simulate loop the
 // benches already run by hand (bm_sched measures per-atom durations and
 // asks sim::makespan_demand which policy should win) and runs it *inside*
 // the scheduler, per round of an iterative job:
 //
-//   round 0  measurement: the job runs under kDynamic with prefetch and
-//            streaming off — one atom per grant gives the model per-atom
-//            durations at full resolution, and an unhidden request/grant
-//            wait measures the true control round trip.
+//   round 0  measurement: the job runs under kDynamic with prefetch off —
+//            one atom per grant gives the model per-atom durations at full
+//            resolution, and an unhidden request/grant wait measures the
+//            true control round trip.
 //   fit      each rank allgathers its round sample (per-run durations plus
 //            its Comm::snapshot_stats() counter delta); every rank sums the
 //            identical data and calls sim::calibrate_from, recovering the
 //            compute / byte / latency coefficients (sim::Calibration).
-//   pick     candidate SchedOptions — policy x grain ladder x prefetch x
-//            streaming — are evaluated through makespan_demand /
+//   pick     candidate SchedOptions — policy x grain ladder x prefetch —
+//            are evaluated through makespan_demand /
 //            makespan_overlap / makespan_static_block on the measured atom
 //            durations; the predicted-best config is installed for the next
 //            round. Re-picked every round as measurements refresh.
@@ -40,13 +40,12 @@
 // pinned an explicit grain), the grain ladder collapses to the one
 // policy-independent resolve_grain value, so the atom decomposition — and
 // therefore every kOrdered result — is bitwise identical to every manual
-// configuration at that grain, no matter which policy/prefetch/streaming
-// combination the tuner picks.
+// configuration at that grain, no matter which policy/prefetch combination
+// the tuner picks.
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/comm.hpp"
@@ -72,12 +71,10 @@ struct TunedCandidate {
   SchedulePolicy policy = SchedulePolicy::kStatic;
   index_t grain = 1;  // resolved, always > 0
   bool prefetch = true;
-  bool streaming = false;
   double predicted_seconds = 0.0;
 
   bool same_config(const TunedCandidate& o) const {
-    return policy == o.policy && grain == o.grain &&
-           prefetch == o.prefetch && streaming == o.streaming;
+    return policy == o.policy && grain == o.grain && prefetch == o.prefetch;
   }
 };
 
@@ -93,12 +90,10 @@ class AutoTuner;
 /// The implicit registry run_chunks keeps in Comm::sched_state() when
 /// SchedOptions::tuner is null: one AutoTuner per tune_key, living as long
 /// as the Comm, so iterative jobs accumulate rounds with zero caller state.
-/// `mu` guards the map itself: under the service layer several batched jobs
-/// can share one Comm, and a Comm's streamed pool tasks may race the rank
-/// thread on first-touch creation. Entries are stable (std::map), so the
-/// returned references stay valid without holding the lock.
+/// Only the Comm's rank thread touches it: batched service jobs that share
+/// a Comm run one after another on that thread. Entries are stable
+/// (std::map), so returned references stay valid as the map grows.
 struct TunerRegistry {
-  std::mutex mu;
   std::map<std::uint64_t, AutoTuner> jobs;
 };
 
@@ -140,7 +135,7 @@ class AutoTuner {
   SchedOptions begin_round(const SchedOptions& user);
 
   /// Records one executed run (called by run_chunks' instrumented on_chunk
-  /// wrapper; thread-safe — streamed runs record from pool workers).
+  /// wrapper on the rank thread).
   void record_run(index_t atom_lo, index_t grain, index_t units,
                   double seconds);
 
@@ -168,7 +163,6 @@ class AutoTuner {
   std::vector<ObservedConfig> obs_;     // min measured wall per ran config
   std::vector<TunedCandidate> audit_;   // configs still owed a real round
 
-  std::mutex mu_;  // guards runs_ (streamed on_chunk records concurrently)
   std::vector<RunSample> runs_;
 };
 
@@ -189,7 +183,6 @@ inline AutoTuner& tuner_for(net::Comm& comm, const SchedOptions& opts) {
   // fold is a pure function of SPMD-uniform state, so all ranks agree.
   const std::uint64_t key =
       opts.tune_key ^ (comm.job_key() * 0x9E3779B97F4A7C15ull);
-  std::lock_guard<std::mutex> lock(reg->mu);
   return reg->jobs[key];
 }
 

@@ -97,7 +97,7 @@ struct Calibration {
   double round_trip_seconds = 0.0;
   /// The share of the round trip attributed to the root serving between
   /// self-issued atoms (bounded by one atom of root compute; estimated as
-  /// half the mean measured chunk). Streaming roots eliminate it.
+  /// half the mean measured chunk).
   double service_delay_seconds = 0.0;
   /// round_trip minus service delay minus byte costs: the irreducible
   /// per-claim wire latency the model charges every candidate.
@@ -128,12 +128,11 @@ struct Calibration {
 
   /// Modelled per-claim overhead of a candidate whose grants carry
   /// `grant_bytes` of payload while the root's self-issued atoms run
-  /// `root_atom_seconds` each: wire latency + byte costs + (unless the root
-  /// streams its atoms to the pool) half an atom of service delay.
-  double overhead_for(double grant_bytes, double root_atom_seconds,
-                      bool streaming_root) const {
-    double oh = latency_seconds + grant_bytes * seconds_per_grant_byte;
-    if (!streaming_root) oh += 0.5 * std::max(0.0, root_atom_seconds);
+  /// `root_atom_seconds` each: wire latency + byte costs + half an atom of
+  /// service delay.
+  double overhead_for(double grant_bytes, double root_atom_seconds) const {
+    const double oh = latency_seconds + grant_bytes * seconds_per_grant_byte +
+                      0.5 * std::max(0.0, root_atom_seconds);
     return std::max(oh, 0.0);
   }
 };

@@ -173,6 +173,31 @@ TEST(Cluster, BoundedBufferRejectsOversizedMessage) {
   EXPECT_NE(res.error.find("buffer"), std::string::npos);
 }
 
+TEST(Cluster, RejectedSendIsNotCounted) {
+  // A send the transport refuses never left the rank: none of the send
+  // counters may charge it.
+  TransportOptions opts;
+  opts.max_message_bytes = 64;
+  bool rejected = false;
+  auto res = Cluster::run(
+      2,
+      [&](Comm& c) {
+        if (c.rank() != 0) return;
+        try {
+          c.send(1, 1, std::vector<double>(1000, 1.0));
+        } catch (const BufferOverflow&) {
+          rejected = true;
+        }
+      },
+      opts);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(res.total_stats.messages_sent, 0);
+  EXPECT_EQ(res.total_stats.bytes_sent, 0);
+  EXPECT_EQ(res.total_stats.bytes_zero_copy, 0);
+  EXPECT_EQ(res.total_stats.bytes_copied, 0);
+}
+
 TEST(Cluster, PeerFailureUnblocksWaitingRanks) {
   auto res = Cluster::run(3, [](Comm& c) {
     if (c.rank() == 1) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "core/triolet.hpp"
 #include "dist/segmented.hpp"
@@ -392,6 +394,8 @@ TEST(SchedStatsAttribution, StaticHasNoRequestsDynamicHasMany) {
     // Every element ran exactly once, wherever it ran.
     EXPECT_EQ(s.items_executed, xs.size()) << to_string(policy);
     EXPECT_GT(s.chunks_executed, 0) << to_string(policy);
+    // The pool counters the scheduled run charged to CommStats.
+    EXPECT_GT(res.total_stats.pool.tasks_executed, 0) << to_string(policy);
 
     if (policy == SchedulePolicy::kStatic) {
       EXPECT_EQ(s.requests_sent, 0);
@@ -820,154 +824,38 @@ TEST(SchedGrant, RoundTripsThroughCodec) {
   EXPECT_EQ(done_back.done, 1);
 }
 
-// -- streamed grant execution --------------------------------------------------
+// -- where grants run ---------------------------------------------------------
 
-TEST(SchedStreaming, SumMatchesSequentialUnderEveryPolicy) {
-  auto xs = random_array(8000, 41);
-  double expect = 0;
-  for (index_t i = 0; i < xs.size(); ++i) expect += xs[i] * xs[i];
-
-  for (auto policy : kAllPolicies) {
-    SchedOptions opts{policy, CombineMode::kTree, 32};
-    opts.streaming = true;
-    double got = 0;
+TEST(SchedThreads, EveryGrantRunsOnItsRankThread) {
+  // on_chunk runs on the rank thread, one grant at a time, under every
+  // policy and every configuration kAuto picks: the skeletons' per-rank
+  // partials rely on it and take no lock. The runs still fan out over the
+  // node's pool inside on_chunk.
+  auto xs = random_array(4096, 59);
+  for (auto policy : {SchedulePolicy::kStatic, SchedulePolicy::kGuided,
+                      SchedulePolicy::kDynamic, SchedulePolicy::kAuto}) {
+    SchedOptions opts{policy, CombineMode::kTree, 0};
+    std::atomic<int> grants{0};
+    std::atomic<int> off_rank_thread{0};
     auto res = net::Cluster::run(4, [&](net::Comm& comm) {
       NodeRuntime node(2);
-      auto make = [&] {
-        return map(from_array(xs), [](double x) { return x * x; });
-      };
-      double r = dist::sum(comm, make, opts);
-      if (comm.rank() == 0) got = r;
+      const auto rank_thread = std::this_thread::get_id();
+      auto make = [&] { return from_array(xs); };
+      for (int round = 0; round < 3; ++round) {
+        run_chunks(comm, make, opts,
+                   [&](const auto& run, index_t, index_t, index_t) {
+                     (void)core::sum(run);
+                     grants.fetch_add(1);
+                     if (std::this_thread::get_id() != rank_thread) {
+                       off_rank_thread.fetch_add(1);
+                     }
+                   });
+      }
     });
     ASSERT_TRUE(res.ok) << res.error;
-    EXPECT_NEAR(got, expect, 1e-9 * std::abs(expect)) << to_string(policy);
+    EXPECT_GT(grants.load(), 0) << to_string(policy);
+    EXPECT_EQ(off_rank_thread.load(), 0) << to_string(policy);
   }
-}
-
-TEST(SchedStreaming, CountHistogramAndBuildWorkStreamed) {
-  auto xs = random_array(6000, 43);
-  index_t expect_count = 0;
-  for (index_t i = 0; i < xs.size(); ++i) expect_count += (xs[i] > 0);
-
-  SchedOptions opts{SchedulePolicy::kDynamic, CombineMode::kTree, 16};
-  opts.streaming = true;
-  index_t got_count = -1;
-  Array1<std::int64_t> got_hist;
-  Array1<double> got_arr;
-  auto res = net::Cluster::run(3, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    auto make_filter = [&] {
-      return core::filter(from_array(xs), [](double x) { return x > 0; });
-    };
-    index_t c = dist::count(comm, make_filter, opts);
-    auto make_bins = [&] {
-      return map(from_array(xs),
-                 [](double x) { return static_cast<index_t>(x > 0); });
-    };
-    auto h = dist::histogram(comm, 2, make_bins, opts);
-    auto make_sq = [&] {
-      return map(from_array(xs), [](double x) { return x * x; });
-    };
-    auto a = dist::build_array1(comm, make_sq, opts);
-    if (comm.rank() == 0) {
-      got_count = c;
-      got_hist = std::move(h);
-      got_arr = std::move(a);
-    }
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(got_count, expect_count);
-  ASSERT_EQ(got_hist.size(), 2);
-  EXPECT_EQ(got_hist[0] + got_hist[1], xs.size());
-  EXPECT_EQ(got_hist[1], expect_count);
-  ASSERT_EQ(got_arr.size(), xs.size());
-  for (index_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(got_arr[i], xs[i] * xs[i]) << "index " << i;
-  }
-}
-
-TEST(SchedStreaming, OrderedCombineBitwiseIdenticalStreamingOnAndOff) {
-  // The acceptance bar for the streamed grant path: handing chunks to the
-  // pool must change *where* per-atom partials are computed, never their
-  // values or fold order. Mixed magnitudes make any deviation visible.
-  Xoshiro256 rng(29);
-  Array1<double> xs(4096);
-  for (index_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-12.0, 12.0));
-  }
-
-  for (auto policy : {SchedulePolicy::kGuided, SchedulePolicy::kDynamic}) {
-    std::vector<double> results;
-    for (bool streaming : {false, true}) {
-      SchedOptions opts{policy, CombineMode::kOrdered, 64};
-      opts.streaming = streaming;
-      double got = 0;
-      auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-        NodeRuntime node(2);
-        auto make = [&] { return from_array(xs); };
-        double r = dist::reduce(comm, make, 0.0,
-                                [](double a, double b) { return a + b; },
-                                opts);
-        if (comm.rank() == 0) got = r;
-      });
-      ASSERT_TRUE(res.ok) << res.error;
-      results.push_back(got);
-    }
-    EXPECT_EQ(0, std::memcmp(&results[0], &results[1], sizeof(double)))
-        << to_string(policy) << ": streaming off " << results[0]
-        << " vs on " << results[1];
-  }
-}
-
-TEST(SchedStreaming, RecordsStreamedGrantsAndOverlap) {
-  auto xs = random_array(4096, 47);
-  SchedOptions opts{SchedulePolicy::kDynamic, CombineMode::kTree, 32};
-  opts.streaming = true;
-  auto res = net::Cluster::run(4, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    // Atoms must cost real time so grants are still in flight on the pool
-    // while the rank thread waits for the next one (the overlap window).
-    auto make = [&] {
-      return map(from_array(xs), [](double x) {
-        double v = x;
-        for (int k = 0; k < 400; ++k) v += std::sin(v) * 1e-3;
-        return v;
-      });
-    };
-    (void)dist::sum(comm, make, opts);
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  const net::SchedStats& s = res.total_stats.sched;
-  // Every executed chunk went through the stream on the demand-driven path.
-  EXPECT_GT(s.streamed_grants, 0);
-  EXPECT_EQ(s.streamed_grants, s.chunks_executed);
-  EXPECT_EQ(s.items_executed, xs.size());
-  // Busy-while-receiving: some grant wait overlapped in-flight compute.
-  EXPECT_GT(s.overlap_seconds, 0.0);
-  // The pool counters the scheduled run charged to CommStats.
-  EXPECT_GT(res.total_stats.pool.tasks_executed, 0);
-}
-
-TEST(SchedStreaming, SingleRankStreamsSelfIssuedAtoms) {
-  // One rank: the root has no workers to serve, but its own atoms still
-  // stream onto the pool (and must all land before the result is read).
-  auto xs = random_array(3000, 53);
-  double expect = 0;
-  for (index_t i = 0; i < xs.size(); ++i) expect += xs[i];
-  SchedOptions opts{SchedulePolicy::kGuided, CombineMode::kOrdered, 8};
-  opts.streaming = true;
-  double got = 0;
-  std::int64_t streamed = 0;
-  auto res = net::Cluster::run(1, [&](net::Comm& comm) {
-    NodeRuntime node(2);
-    auto make = [&] { return from_array(xs); };
-    got = dist::reduce(comm, make, 0.0,
-                       [](double a, double b) { return a + b; }, opts);
-    streamed = comm.snapshot_stats().sched.streamed_grants;
-  });
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_NEAR(got, expect, 1e-9 * xs.size());
-  EXPECT_GT(streamed, 0);
 }
 
 }  // namespace

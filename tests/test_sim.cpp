@@ -452,8 +452,8 @@ TEST(Calibration, RoundTripReproducesMeasuredMakespan) {
 
   // overhead_for re-assembles latency + payload bytes + root service into
   // exactly the measured round trip.
-  const double oh = c.overhead_for(static_cast<double>(bytes_per_grant),
-                                   chunk_seconds, /*streaming_root=*/false);
+  const double oh =
+      c.overhead_for(static_cast<double>(bytes_per_grant), chunk_seconds);
   EXPECT_NEAR(oh, rt, 1e-12);
 
   std::vector<double> model_chunks(

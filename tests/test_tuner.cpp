@@ -40,16 +40,15 @@ struct PickRecord {
   SchedulePolicy policy = SchedulePolicy::kAuto;
   index_t grain = 0;
   bool prefetch = false;
-  bool streaming = false;
   int rounds = 0;
 
   static PickRecord of(const AutoTuner& t) {
     return {t.have_pick(), t.pick().policy, t.pick().grain,
-            t.pick().prefetch, t.pick().streaming, t.rounds()};
+            t.pick().prefetch, t.rounds()};
   }
   bool same_config(const PickRecord& o) const {
     return have == o.have && policy == o.policy && grain == o.grain &&
-           prefetch == o.prefetch && streaming == o.streaming;
+           prefetch == o.prefetch;
   }
 };
 
@@ -68,7 +67,6 @@ TEST(AutoTunerUnit, FirstRoundIsTheMeasurementConfiguration) {
   const SchedOptions r0 = t.begin_round(user);
   EXPECT_EQ(r0.policy, SchedulePolicy::kDynamic);
   EXPECT_FALSE(r0.prefetch);
-  EXPECT_FALSE(r0.streaming);
   EXPECT_EQ(r0.tuner, nullptr);
   // Caller-visible semantics survive untouched: the combine mode and the
   // pinned grain are the user's, only the scheduling knobs are replaced.
@@ -297,7 +295,7 @@ TEST(AutoTunerAudit, WallPastThreeTimesThePredictionAuditsEveryPolicy) {
       const SchedOptions o = t.begin_round(user);
       ran[r].push_back(o.policy);
       if (o.policy == SchedulePolicy::kGuided) {
-        guided[r] = {true, o.policy, o.grain, o.prefetch, o.streaming, 0};
+        guided[r] = {true, o.policy, o.grain, o.prefetch, 0};
       }
       synthetic_round(t, comm, kUniformUnits, kCostlyRoundTrip, kUnitBytes,
                       wall_of(o.policy));
@@ -417,10 +415,10 @@ TEST(AutoSched, RegistryCarriesStateAcrossCallsWithSharedKey) {
 
 TEST(AutoSched, OrderedCombineBitwiseIdenticalToEveryManualConfig) {
   // Mixed-magnitude doubles make any reordering of the fold visible in the
-  // low bits. kAuto may pick any policy/prefetch/streaming combination per
-  // round; with kOrdered it must pin the grain, so every round's result —
-  // and every manual configuration at the same (auto-resolved) grain —
-  // must be the same bits.
+  // low bits. kAuto may pick any policy/prefetch combination per round;
+  // with kOrdered it must pin the grain, so every round's result — and
+  // every manual configuration at the same (auto-resolved) grain — must be
+  // the same bits.
   Xoshiro256 rng(29);
   Array1<double> xs(4096);
   for (index_t i = 0; i < xs.size(); ++i) {
@@ -430,16 +428,13 @@ TEST(AutoSched, OrderedCombineBitwiseIdenticalToEveryManualConfig) {
   struct Config {
     SchedulePolicy policy;
     bool prefetch;
-    bool streaming;
   };
   const Config manual[] = {
-      {SchedulePolicy::kStatic, true, false},
-      {SchedulePolicy::kGuided, true, false},
-      {SchedulePolicy::kGuided, false, false},
-      {SchedulePolicy::kGuided, true, true},
-      {SchedulePolicy::kDynamic, true, false},
-      {SchedulePolicy::kDynamic, false, false},
-      {SchedulePolicy::kDynamic, true, true},
+      {SchedulePolicy::kStatic, true},
+      {SchedulePolicy::kGuided, true},
+      {SchedulePolicy::kGuided, false},
+      {SchedulePolicy::kDynamic, true},
+      {SchedulePolicy::kDynamic, false},
   };
 
   auto run_reduce = [&](const SchedOptions& opts, int rounds) {
@@ -464,7 +459,6 @@ TEST(AutoSched, OrderedCombineBitwiseIdenticalToEveryManualConfig) {
     opts.policy = c.policy;
     opts.combine = CombineMode::kOrdered;
     opts.prefetch = c.prefetch;
-    opts.streaming = c.streaming;
     auto got = run_reduce(opts, 1);
     ASSERT_EQ(got.size(), 1u);
     reference.push_back(got[0]);
