@@ -4,9 +4,9 @@
 //
 // The paper chose Parboil data sets with a sequential-C time of 20-200 s;
 // this reproduction scales each problem down so a full figure regenerates in
-// seconds on one core (see DESIGN.md, substitutions). The compute-to-
-// communication ratio stays representative because message sizes scale with
-// the same inputs the tasks process.
+// seconds, its units measured one at a time (see DESIGN.md, substitutions).
+// The compute-to-communication ratio stays representative because message
+// sizes scale with the same inputs the tasks process.
 
 #include "apps/cutcp.hpp"
 #include "apps/mriq.hpp"

@@ -3,8 +3,8 @@
 //
 // The workload models a shared analytics cluster: a stream of small
 // latency-sensitive jobs (scatter + reduce over a few KB) interleaved with
-// a handful of large jobs that re-analyze one resident dataset (scheduled,
-// fair-share-gated reductions over a wide record array). The baseline is
+// a handful of large jobs that re-analyze one resident dataset (scheduled
+// reductions over a wide record array). The baseline is
 // what the pre-service system offers: every job is its own Cluster::run —
 // fresh rank threads, fresh per-rank pools, cold slice
 // caches — and jobs run strictly one after another, so a small job's
@@ -12,10 +12,9 @@
 //
 // The service run submits the same stream to one resident JobManager:
 // small jobs coalesce into batch groups (amortizing group spawn), up to
-// max_concurrent groups run at once under per-job tag-band isolation, the
-// large jobs' repeated scatters of the shared dataset collapse to residency
-// tokens after the first (manager-owned per-rank caches), and the grant
-// arbiter keeps the large jobs from monopolizing the scheduler.
+// max_concurrent groups run at once under per-job tag-band isolation, and
+// the large jobs' repeated scatters of the shared dataset collapse to
+// residency tokens after the first (manager-owned per-rank caches).
 //
 // Measured: job throughput (jobs / makespan) and per-job latency
 // (completion time since the stream started; queued + run for the service).
@@ -114,9 +113,8 @@ std::vector<JobSpec> job_stream(const Workload& w) {
 
 /// The small-job body: kOrdered spiky reduce — latency-sensitive AND a
 /// bitwise determinism witness. Returns the rank-0 result.
-double small_body(net::Comm& comm, const Workload& w, int idx,
-                  const sched::SchedOptions& base) {
-  sched::SchedOptions opts = base;
+double small_body(net::Comm& comm, const Workload& w, int idx) {
+  sched::SchedOptions opts;
   opts.combine = sched::CombineMode::kOrdered;
   opts.grain = w.ordered_grain;
   const auto& xs = w.small_data[static_cast<std::size_t>(idx)];
@@ -127,19 +125,19 @@ double small_body(net::Comm& comm, const Workload& w, int idx,
 /// The large-job body: `large_rounds` scatter-based reductions over the
 /// shared resident dataset (static per-rank blocks, so slices cached by an
 /// earlier job tokenize here — the cross-job residency win), then one
-/// demand-scheduled guided reduction that runs through the job's fair-share
-/// grant gate. Returns the rank-0 result of the last round.
+/// demand-scheduled guided reduction. Returns the rank-0 result of the last
+/// round.
 double large_body(net::Comm& comm, const Workload& w,
-                  dist::DistArray<Wide>& d, const sched::SchedOptions& base) {
+                  dist::DistArray<Wide>& d) {
   auto make = [&] {
     return core::map(dist::from_resident(d), [](const Wide& x) {
       return x.v[1] * 1.25 + x.v[3];
     });
   };
   for (int r = 0; r < w.large_rounds; ++r) (void)dist::sum(comm, make);
-  // The demand-scheduled phase is compute-shaped (grants carry ranges, not
-  // payloads), the regime where grant arbitration across jobs matters.
-  sched::SchedOptions opts = base;
+  // The demand-scheduled phase is compute-shaped: grants carry ranges, not
+  // payloads.
+  sched::SchedOptions opts;
   opts.policy = sched::SchedulePolicy::kGuided;
   const index_t n = w.large_n;
   return dist::sum(comm,
@@ -175,8 +173,8 @@ StreamResult run_serialized(int ranks, const Workload& w) {
     double r0 = 0;
     auto res = net::Cluster::run(ranks, [&](net::Comm& comm) {
       dist::NodeRuntime node(1);
-      double r = js.large ? large_body(comm, w, d, {})
-                          : small_body(comm, w, js.idx, {});
+      double r =
+          js.large ? large_body(comm, w, d) : small_body(comm, w, js.idx);
       if (comm.rank() == 0) r0 = r;
     });
     if (!res.ok) {
@@ -207,7 +205,6 @@ StreamResult run_service(int ranks, const Workload& w) {
   so.max_concurrent = 3;
   so.batch_limit = 12;
   so.max_queued = 256;
-  so.quantum_items = 1 << 10;
   so.slice_cache_bytes = std::size_t{256} << 20;
   svc::JobManager mgr(so);
 
@@ -222,20 +219,18 @@ StreamResult run_service(int ranks, const Workload& w) {
     svc::JobOptions jo;
     if (js.large) {
       jo.name = "large-" + std::to_string(js.idx);
-      jo.weight = 1;
       jo.batch_key = 2;  // large jobs share one group, smalls overlap it
       handles.emplace_back(
           js, mgr.submit(jo, [&w, &d](svc::JobContext& ctx) {
-            (void)large_body(ctx.comm(), w, d, ctx.sched_options());
+            (void)large_body(ctx.comm(), w, d);
           }));
     } else {
       jo.name = "small-" + std::to_string(js.idx);
-      jo.weight = 2;       // latency-sensitive: extra fair-share credit
-      jo.batch_key = 1;    // small jobs may share a group
+      jo.batch_key = 1;  // small jobs may share a group
       const int idx = js.idx;
       handles.emplace_back(
           js, mgr.submit(jo, [&w, &small_res, idx](svc::JobContext& ctx) {
-            double r = small_body(ctx.comm(), w, idx, ctx.sched_options());
+            double r = small_body(ctx.comm(), w, idx);
             if (ctx.rank() == 0) {
               small_res[static_cast<std::size_t>(idx)] = r;
             }
@@ -312,7 +307,7 @@ int main(int argc, char** argv) {
     double r0 = 0;
     auto res = net::Cluster::run(ranks, [&](net::Comm& comm) {
       dist::NodeRuntime node(1);
-      double r = small_body(comm, w, s, {});
+      double r = small_body(comm, w, s);
       if (comm.rank() == 0) r0 = r;
     });
     if (!res.ok) {

@@ -3,14 +3,14 @@
 // One resident JobManager (4 ranks) takes submissions from two tenants: a
 // burst of small latency-sensitive analytics jobs (kOrdered reduces, so
 // their answers are bit-reproducible) and two heavyweight jobs that rescan
-// one shared resident dataset under the fair-share grant gate. The small
-// jobs share a batch_key, so the manager coalesces them into batch groups;
-// the large jobs run concurrently in their own tag bands.
+// one shared resident dataset. The small jobs share a batch_key, so the
+// manager coalesces them into batch groups; the large jobs run concurrently
+// in their own tag bands.
 //
 // The example prints a per-job table (queue time, run time, band, batch
-// company, fair-share grants) and self-validates: every small job's result
-// must be bitwise identical to the same reduction run solo in its own
-// Cluster::run, and all jobs must succeed.
+// company, grants the root served) and self-validates: every small job's
+// result must be bitwise identical to the same reduction run solo in its
+// own Cluster::run, and all jobs must succeed.
 
 #include <cmath>
 #include <cstdio>
@@ -39,8 +39,8 @@ Array1<double> spiky(index_t n, std::uint64_t seed) {
   return a;
 }
 
-double ordered_sum(net::Comm& comm, const Array1<double>& xs,
-                   sched::SchedOptions opts) {
+double ordered_sum(net::Comm& comm, const Array1<double>& xs) {
+  sched::SchedOptions opts;
   opts.combine = sched::CombineMode::kOrdered;
   opts.grain = 32;
   return dist::reduce(comm, [&] { return core::from_array(xs); }, 0.0,
@@ -69,7 +69,7 @@ int main() {
   for (int i = 0; i < n_small; ++i) {
     auto res = net::Cluster::run(4, [&](net::Comm& comm) {
       dist::NodeRuntime node(1);
-      double r = ordered_sum(comm, small_data[static_cast<std::size_t>(i)], {});
+      double r = ordered_sum(comm, small_data[static_cast<std::size_t>(i)]);
       if (comm.rank() == 0) solo[static_cast<std::size_t>(i)] = r;
     });
     if (!res.ok) {
@@ -88,9 +88,9 @@ int main() {
   std::vector<std::pair<std::string, svc::JobHandle>> handles;
 
   // The large tenant: scheduled guided scans of the shared resident
-  // dataset through the fair-share grant gate.
+  // dataset.
   auto scan_body = [&](svc::JobContext& ctx) {
-    auto opts = ctx.sched_options();
+    sched::SchedOptions opts;
     opts.policy = sched::SchedulePolicy::kGuided;
     for (int round = 0; round < 3; ++round) {
       (void)dist::sum(ctx.comm(), [&] {
@@ -105,19 +105,16 @@ int main() {
   };
   svc::JobOptions scan0;
   scan0.name = "scan-0";
-  scan0.weight = 2;
   handles.emplace_back(scan0.name, mgr.submit(scan0, scan_body));
 
-  // The small tenant: batched kOrdered jobs, double fair-share weight.
+  // The small tenant: batched kOrdered jobs.
   for (int i = 0; i < n_small; ++i) {
     svc::JobOptions jo;
     jo.name = "small-" + std::to_string(i);
-    jo.weight = 2;
     jo.batch_key = 1;
     handles.emplace_back(jo.name, mgr.submit(jo, [&, i](svc::JobContext& ctx) {
-      double r = ordered_sum(ctx.comm(),
-                             small_data[static_cast<std::size_t>(i)],
-                             ctx.sched_options());
+      double r =
+          ordered_sum(ctx.comm(), small_data[static_cast<std::size_t>(i)]);
       if (ctx.rank() == 0) served[static_cast<std::size_t>(i)] = r;
     }));
   }
@@ -142,7 +139,7 @@ int main() {
     std::printf("%-8s  %-5s  %9.4f  %9.4f  %6d  %7d  %6lld  %6lld\n",
                 name.c_str(), r.ok ? "yes" : "NO", r.queued_seconds,
                 r.run_seconds, r.band_base, r.batched_with,
-                static_cast<long long>(r.fair_share.acquires),
+                static_cast<long long>(r.stats.sched.grants_served),
                 static_cast<long long>(r.stats.residency.tokens_sent));
   }
   mgr.drain();

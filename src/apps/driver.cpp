@@ -253,8 +253,8 @@ double seq_equivalent_seconds(const MeasuredSystem& ms) {
 }
 
 double measure_seconds(const std::function<void()>& fn, int repeats) {
-  // Minimum over repeats: on a single-core host, any other sample includes
-  // preemption noise; the minimum is the cleanest estimate of the code cost.
+  // Minimum over repeats: any other sample may include preemption noise;
+  // the minimum is the cleanest estimate of the code cost.
   return time_fn(fn, repeats, 1).min;
 }
 

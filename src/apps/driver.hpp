@@ -2,9 +2,9 @@
 
 // Benchmark driver: turns real measurements into the paper's figures.
 //
-// The reproduction host has one physical core (see DESIGN.md), so the
-// scalability figures are produced by *trace simulation over real
-// measurements*:
+// The reproduction host has a few cores and the paper's cluster 128 (see
+// DESIGN.md), so the scalability figures are produced by *trace simulation
+// over real measurements*:
 //
 //   1. The benchmark's outer work domain is cut into U fine-grained units.
 //      Every unit is executed FOR REAL with the system's actual code
@@ -142,9 +142,9 @@ double measure_seconds(const std::function<void()>& fn, int repeats = 3);
 
 /// Splits U units into per-unit measured durations by timing `run_unit` on
 /// each unit index. The sweep runs `passes` times and keeps each unit's
-/// minimum, filtering out OS-preemption spikes (the host has one core, so a
-/// context switch inside a 50 us unit would otherwise skew the whole
-/// schedule simulation). The first pass doubles as cache warmup.
+/// minimum, filtering out OS-preemption spikes (a context switch inside a
+/// 50 us unit would otherwise skew the whole schedule simulation). The
+/// first pass doubles as cache warmup.
 std::vector<double> measure_units(index_t units,
                                   const std::function<void(index_t)>& run_unit,
                                   int passes = 2);

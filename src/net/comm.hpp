@@ -214,13 +214,6 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return state_->nranks; }
 
-  /// Stable identity of the tag lease (0 outside the service layer): what
-  /// the sched layer folds into tune keys so concurrent jobs' tuners and
-  /// models never share state by accident.
-  std::uint64_t job_key() const {
-    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(tags_.base));
-  }
-
   // -- point to point ---------------------------------------------------------
 
   /// Sends raw bytes to `dst` under `tag`.

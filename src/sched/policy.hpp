@@ -72,20 +72,6 @@ enum class SchedulePolicy { kStatic, kGuided, kDynamic, kAuto };
 ///             across policies.
 enum class CombineMode { kTree, kOrdered };
 
-/// Hook the root's grant-service loop calls immediately before issuing
-/// work — one call per grant (and per root self-issued run) with the number
-/// of outer-domain items the grant covers. The service layer (src/svc/)
-/// points this at a fair-share arbiter so concurrent jobs' grant streams
-/// interleave by weighted deficit round-robin instead of arrival order.
-/// before_grant may block (that is the throttle); it runs on the root's
-/// rank thread only, and never changes which atoms exist or how they are
-/// combined — kOrdered results are identical with or without a gate.
-class GrantGate {
- public:
-  virtual ~GrantGate() = default;
-  virtual void before_grant(index_t items) = 0;
-};
-
 struct SchedOptions {
   SchedulePolicy policy = SchedulePolicy::kStatic;
   CombineMode combine = CombineMode::kTree;
@@ -109,10 +95,6 @@ struct SchedOptions {
   /// reductions of one iterative job over the same resident array
   /// (dist::DistArray::tune_key()). 0 = the Comm's default shared job.
   std::uint64_t tune_key = 0;
-  /// Fair-share gate for the root's grant issue (null = no gating, the
-  /// single-job default). Callers inside the service layer get this set by
-  /// svc::JobContext::sched_options(); the pointee must outlive the call.
-  GrantGate* gate = nullptr;
 };
 
 inline const char* to_string(SchedulePolicy p) {

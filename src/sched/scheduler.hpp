@@ -91,10 +91,9 @@ struct Grant {
 
 namespace detail {
 
-/// Outer units a grant charges to the item counters and the fair-share
-/// gate: its run's outer extent, or for a block grant (grain 0) the rank's
-/// share in atom_n. Summed over one run_chunks call they equal the domain's
-/// extent.
+/// Outer units a grant charges to the item counters: its run's outer
+/// extent, or for a block grant (grain 0) the rank's share in atom_n.
+/// Summed over one run_chunks call they equal the domain's extent.
 inline index_t grant_items(index_t grain, index_t atom_n, index_t run_extent) {
   return grain > 0 ? run_extent : atom_n;
 }
@@ -258,17 +257,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     const index_t u1 = std::min(b * grain, extent);
     return it.slice(core::outer_slice(dom, u0, u1));
   };
-  // Outer-domain items atoms [a, b) cover (the fair-share currency).
-  auto units_of = [&](index_t a, index_t b) {
-    return std::min(b * grain, extent) - std::min(a * grain, extent);
-  };
-  // Fair-share gate (SchedOptions::gate): called before every grant and
-  // every root self-issue, root thread only. Under the service layer this
-  // blocks until the job's deficit-round-robin turn, so a large job's grant
-  // stream cannot starve concurrent small jobs.
-  auto gate_items = [&](index_t a, index_t b) {
-    if (opts.gate) opts.gate->before_grant(units_of(a, b));
-  };
 
   // Grant transport, on this thread. Resident path: serialize under the
   // per-destination encode scope, so token substitution sees grants in
@@ -293,17 +281,15 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
     const bool blocks = opts.combine == CombineMode::kTree && opts.grain == 0;
     std::vector<std::remove_cvref_t<decltype(dom)>> split;
     if (blocks) split = static_blocks(it, p);
-    // Rank r's gated grant. A block is credited with the rank's even share
+    // Rank r's grant. A block is credited with the rank's even share
     // [extent*r/p, extent*(r+1)/p) of the outer units (see Grant).
     auto static_grant = [&](int r) {
       if (blocks) {
         const index_t u0 = extent * r / p, u1 = extent * (r + 1) / p;
-        if (opts.gate) opts.gate->before_grant(u1 - u0);
         return Grant<It>{0, u0, u1 - u0, 0,
                          it.slice(split[static_cast<std::size_t>(r)])};
       }
       const index_t a = natoms * r / p, b = natoms * (r + 1) / p;
-      gate_items(a, b);
       return Grant<It>{0, a, b - a, grain, slice_run(a, b)};
     };
     for (int r = 1; r < p; ++r) {
@@ -336,7 +322,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       const index_t n = opts.policy == SchedulePolicy::kDynamic
                             ? 1
                             : std::min(remaining, guided_run_atoms(remaining, p));
-      gate_items(next, next + n);
       send_grant(requester, Grant<It>{0, next, n, grain, slice_run(next, next + n)});
       next += n;
       sched.grants_served += 1;
@@ -358,7 +343,6 @@ void run_chunks_concrete(net::Comm& comm, MakeIter&& make,
       }
       if (served) continue;
       // No demand right now: run one atom locally, then poll again.
-      gate_items(next, next + 1);
       detail::execute_run(
           comm, Grant<It>{0, next, 1, grain, slice_run(next, next + 1)},
           on_chunk);

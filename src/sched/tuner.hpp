@@ -170,20 +170,15 @@ namespace detail {
 
 /// Resolves the tuner for one run_chunks call: the caller-owned one when
 /// SchedOptions::tuner is set, else the Comm-registry entry for tune_key
-/// (created on first use).
+/// (created on first use). The registry lives as long as the Comm, so
+/// service jobs batched into one group, which share their rank's Comm,
+/// share one AutoTuner when they share a tune_key; separate groups build
+/// fresh Comms and never share one.
 inline AutoTuner& tuner_for(net::Comm& comm, const SchedOptions& opts) {
   if (opts.tuner != nullptr) return *opts.tuner;
   auto& slot = comm.sched_state();
   if (!slot) slot = std::make_shared<TunerRegistry>();
-  auto* reg = static_cast<TunerRegistry*>(slot.get());
-  // Fold the Comm's job identity (its tag-lease base; 0 outside the service
-  // layer) into the registry key so two service jobs that happen to share a
-  // Comm and a tune_key (e.g. both defaulted to 0) still get separate
-  // tuners — one job's measurements must never steer another's picks. The
-  // fold is a pure function of SPMD-uniform state, so all ranks agree.
-  const std::uint64_t key =
-      opts.tune_key ^ (comm.job_key() * 0x9E3779B97F4A7C15ull);
-  return reg->jobs[key];
+  return static_cast<TunerRegistry*>(slot.get())->jobs[opts.tune_key];
 }
 
 }  // namespace detail

@@ -25,8 +25,7 @@ JobResult JobHandle::wait() {
 
 JobManager::JobManager(ServiceOptions options)
     : opts_(options),
-      state_(options.nranks, net::TransportOptions{}),
-      arbiter_(options.quantum_items) {
+      state_(options.nranks, net::TransportOptions{}) {
   TRIOLET_CHECK(opts_.nranks >= 1, "service needs at least one rank");
   TRIOLET_CHECK(opts_.threads_per_rank >= 1,
                 "service needs at least one pool worker per rank");
@@ -190,7 +189,6 @@ void JobManager::dispatcher_main() {
       js->result.queued_seconds = js->queued.seconds();
       js->result.band_base = band.base;
       js->result.batched_with = static_cast<int>(group.size()) - 1;
-      arbiter_.add_job(js->id, js->opts.weight);
     }
     const std::uint64_t group_id = group.front()->id;
     group_threads_.emplace(
@@ -225,7 +223,7 @@ void JobManager::run_group(net::TagMap band,
       net::CommStats before = comm.snapshot_stats();
       Stopwatch sw;
       try {
-        JobContext ctx(&comm, jobs[j]->id, &jobs[j]->opts.name, &arbiter_);
+        JobContext ctx(&comm, jobs[j]->id, &jobs[j]->opts.name);
         jobs[j]->body(ctx);
       } catch (const net::ClusterAborted&) {
         // Secondary failure: this rank was blocked when a peer (or the
@@ -267,13 +265,11 @@ void JobManager::run_group(net::TagMap band,
   std::int64_t completed = 0, failed = 0;
   for (std::size_t j = 0; j < n; ++j) {
     auto& js = *jobs[j];
-    arbiter_.remove_job(js.id);  // stats stay readable after removal
     std::lock_guard<std::mutex> lock(js.mu);
     JobResult& res = js.result;
     res.job_id = js.id;
     res.stats = sums[j];
     res.run_seconds = run_secs[j];
-    res.fair_share = arbiter_.job_stats(js.id);
     if (completed_ranks[j] == p) {
       res.ok = true;
       completed += 1;

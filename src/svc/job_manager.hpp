@@ -21,11 +21,6 @@
 //                group's private abort flag (not the cluster's), so only
 //                that group's blocked receives unwind; the band is purged
 //                and reclaimed afterwards.
-//   fair share   every job is registered with the GrantArbiter; job bodies
-//                opt their run_chunks calls in via
-//                JobContext::sched_options(), which installs the job's
-//                grant gate. Grant issue order across jobs then follows
-//                weighted deficit round-robin instead of arrival order.
 //   batching     jobs submitted with the same nonzero batch_key coalesce
 //                (up to batch_limit) into one group: one band lease, one
 //                set of rank threads and Comms, bodies run sequentially.
@@ -33,13 +28,13 @@
 //                the dominant cost of a short job — across the batch.
 //   accounting   each job's JobResult carries the summed-over-ranks
 //                CommStats *delta* of exactly its own execution
-//                (snapshot_stats subtraction), its queue and run times, and
-//                its fair-share counters; the manager aggregates
-//                service-wide ServiceStats.
+//                (snapshot_stats subtraction) and its queue and run times;
+//                the manager aggregates service-wide ServiceStats.
 //
-// Determinism: batching, fair-share gating, and cross-job cache sharing
-// leave each job's atom decomposition and combine order untouched, so a
-// kOrdered job's result is bitwise identical to the same job run alone
+// Each job's root issues its grants in request order, as it does outside
+// the service. Determinism: batching and cross-job cache sharing leave
+// each job's atom decomposition and combine order untouched, so a kOrdered
+// job's result is bitwise identical to the same job run alone
 // (tests/test_svc.cpp asserts this under a concurrent mix).
 
 #include <atomic>
@@ -61,7 +56,6 @@
 #include "sched/policy.hpp"
 #include "support/timing.hpp"
 #include "svc/band_allocator.hpp"
-#include "svc/fair_share.hpp"
 
 namespace triolet::svc {
 
@@ -75,7 +69,7 @@ struct ServiceOptions {
   int max_queued = 64;
   /// Most jobs one batch group may coalesce.
   int batch_limit = 8;
-  /// Fair-share DRR quantum, in outer-domain units per rotation.
+  /// Has no effect; kept only because perfbench/service.cpp still sets it.
   std::int64_t quantum_items = 1 << 12;
   /// Per-rank resident slice-cache budget; the default sentinel defers to
   /// net::slice_cache_budget() (env TRIOLET_SLICE_CACHE_BYTES).
@@ -100,11 +94,17 @@ struct ServiceStats {
 
 struct JobOptions {
   std::string name;
-  /// Fair-share weight (credit per DRR rotation scales linearly).
+  /// Has no effect; kept only because perfbench/service.cpp still sets it.
   int weight = 1;
   /// Nonzero: queued jobs with the same key may share one group (band,
   /// rank threads, Comms), running sequentially. 0 = never batched.
   std::uint64_t batch_key = 0;
+};
+
+/// Always zero; kept only because perfbench/service.cpp still reads it.
+struct FairShareStats {
+  std::int64_t waits = 0;
+  double wait_seconds = 0.0;
 };
 
 struct JobResult {
@@ -117,13 +117,14 @@ struct JobResult {
   std::uint64_t job_id = 0;
   int band_base = 0;            // the group's leased band
   int batched_with = 0;         // other jobs that shared the group
+  /// Always zero; kept only because perfbench/service.cpp still reads it.
   FairShareStats fair_share;
 };
 
 class JobManager;
 
 /// What a job body receives on every rank: its Comm (band-mapped, shared
-/// residency) plus the job identity and the fair-share hookup.
+/// residency) plus the job identity.
 class JobContext {
  public:
   net::Comm& comm() { return *comm_; }
@@ -132,24 +133,19 @@ class JobContext {
   std::uint64_t job_id() const { return id_; }
   const std::string& name() const { return *name_; }
 
-  /// `base` with this job's grant gate installed: run_chunks calls made
-  /// with these options arbitrate their grants through the service's
-  /// fair-share scheduler. Safe (and a no-op) on non-root ranks.
+  /// Returns `base`; kept only because perfbench/service.cpp still calls it.
   sched::SchedOptions sched_options(sched::SchedOptions base = {}) {
-    base.gate = &gate_;
     return base;
   }
 
  private:
   friend class JobManager;
-  JobContext(net::Comm* comm, std::uint64_t id, const std::string* name,
-             GrantArbiter* arbiter)
-      : comm_(comm), id_(id), name_(name), gate_(arbiter, id) {}
+  JobContext(net::Comm* comm, std::uint64_t id, const std::string* name)
+      : comm_(comm), id_(id), name_(name) {}
 
   net::Comm* comm_;
   std::uint64_t id_;
   const std::string* name_;
-  JobGate gate_;
 };
 
 /// One rank's view of a job: called on every rank of the group, SPMD.
@@ -216,7 +212,6 @@ class JobManager {
   ServiceStats stats() const;
   const ServiceOptions& options() const { return opts_; }
   int bands_in_use() const { return bands_.leased(); }
-  GrantArbiter& arbiter() { return arbiter_; }
 
  private:
   void dispatcher_main();
@@ -230,7 +225,6 @@ class JobManager {
   std::vector<std::unique_ptr<net::ResidencyStats>> residency_sinks_;
   std::vector<std::unique_ptr<net::Residency>> residency_;
   BandAllocator bands_;
-  GrantArbiter arbiter_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_dispatch_;  // dispatcher: work or a free slot

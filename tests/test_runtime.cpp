@@ -174,13 +174,14 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
 }
 
 TEST(ParallelFor, RespectsGrainAsLowerBoundOnChunks) {
-  // The splitter's floor is on *subranges*: a fork happens only when both
-  // halves stay >= grain, so halving 1000 can reach 125-wide subranges but
-  // never below grain. Executed chunks are grain-sized steps of a
-  // subrange, so only the per-subrange tail may fall short (125 -> 100 +
-  // 25); how far splitting actually descends depends on steal demand, so
-  // the tail size is not deterministic — the chunk *count* bound and the
-  // exact coverage are.
+  // Each task runs one contiguous range in grain-sized steps, and between
+  // steps it may fork away the far half of what is left, only when both
+  // halves keep >= grain. Steps can come before a fork, so the ranges are
+  // not halvings of 1000, but each is >= grain and only its last chunk may
+  // fall short: a range of L units runs ceil(L / 100) chunks. Ranges of
+  // 101-199 units give the most chunks per unit, and at most nine of them
+  // fit in 1000, so no run exceeds 18 chunks. How far splitting goes
+  // depends on steal demand, so only that bound and the coverage are fixed.
   ThreadPool pool(4);
   std::atomic<int> chunks{0};
   std::atomic<index_t> largest{0}, covered{0};
@@ -193,7 +194,7 @@ TEST(ParallelFor, RespectsGrainAsLowerBoundOnChunks) {
     while (sz > cur && !largest.compare_exchange_weak(cur, sz)) {
     }
   });
-  EXPECT_LE(chunks.load(), 16);  // 8 subranges of >= 125, <= 2 chunks each
+  EXPECT_LE(chunks.load(), 18);  // 9 ranges of 101-199 units, 2 chunks each
   EXPECT_LE(largest.load(), 100);  // a chunk never exceeds the grain
   EXPECT_EQ(covered.load(), 1000);  // disjoint chunks cover the range
 }

@@ -421,28 +421,16 @@ TEST(SchedStatsAttribution, StaticHasNoRequestsDynamicHasMany) {
 
 // -- the static split ---------------------------------------------------------
 
-/// Sums the items the root passes to the fair-share gate.
-class CountingGate final : public GrantGate {
- public:
-  void before_grant(index_t items) override { items_ += items; }
-  index_t items() const { return items_; }
-
- private:
-  index_t items_ = 0;
-};
-
 /// Runs `make()` under kStatic `opts` on `p` ranks and returns the domain of
 /// each rank's one on_chunk call. Checks on the way that every item counter
-/// sums to the outer extent: items executed, items granted plus the root's
-/// own, and the items the gate saw.
+/// sums to the outer extent: items executed, and items granted plus the
+/// root's own.
 template <typename MakeIter>
 auto static_domains(int p, SchedOptions opts, MakeIter make) {
   using D = std::remove_cvref_t<decltype(make().domain())>;
   const index_t extent = core::outer_extent(make().domain());
   std::vector<D> seen(static_cast<std::size_t>(p));
   std::vector<int> calls(static_cast<std::size_t>(p), 0);
-  CountingGate gate;
-  opts.gate = &gate;
   index_t root_items = 0;
   auto res = net::Cluster::run(p, [&](net::Comm& comm) {
     NodeRuntime node(1);
@@ -461,7 +449,6 @@ auto static_domains(int p, SchedOptions opts, MakeIter make) {
   const net::SchedStats& s = res.total_stats.sched;
   EXPECT_EQ(s.items_executed, extent);
   EXPECT_EQ(s.granted_items + root_items, extent);
-  EXPECT_EQ(gate.items(), extent);
   return seen;
 }
 

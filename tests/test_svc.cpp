@@ -1,10 +1,10 @@
 // Tests for the service layer (src/svc/): per-job tag-band leasing and the
-// TagMap compression behind it, fair-share grant arbitration,
-// admission/backpressure and batching in the JobManager, per-job stats
-// attribution, failure isolation between concurrent jobs, and the
-// bitwise-determinism contract: a kOrdered job run inside a busy service
-// equals the same job run alone. Band-restricted wildcard matching and band
-// purges are test_msgplane's MatchTableTest cases.
+// TagMap compression behind it, admission/backpressure and batching in the
+// JobManager, per-job stats attribution, failure isolation between
+// concurrent jobs, and the bitwise-determinism contract: a kOrdered job run
+// inside a busy service equals the same job run alone. Band-restricted
+// wildcard matching and band purges are test_msgplane's MatchTableTest
+// cases.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@
 #include "net/cluster.hpp"
 #include "net/pool.hpp"
 #include "net/tags.hpp"
+#include "sched/tuner.hpp"
 #include "support/rng.hpp"
 #include "svc/band_allocator.hpp"
-#include "svc/fair_share.hpp"
 #include "svc/job_manager.hpp"
 
 namespace triolet::svc {
@@ -145,121 +145,6 @@ TEST(BandAllocatorTest, ExhaustionIsAClearErrorNotAHang) {
   EXPECT_TRUE(alloc.try_lease(spare));
   EXPECT_EQ(spare.base, b.base);
   (void)a;
-}
-
-// -- GrantArbiter -------------------------------------------------------------
-
-TEST(GrantArbiterTest, UnregisteredAndSoloJobsPassThrough) {
-  GrantArbiter arb(1024);
-  // Unregistered: straight through, stats still recorded.
-  arb.acquire(99, 10);
-  EXPECT_EQ(arb.job_stats(99).acquires, 1);
-  EXPECT_EQ(arb.job_stats(99).acquired_items, 10);
-  // Alone in the ring: no one to be fair to.
-  arb.add_job(1, 1);
-  arb.acquire(1, 5000);
-  arb.acquire(1, 5000);
-  EXPECT_EQ(arb.job_stats(1).acquired_items, 10000);
-  EXPECT_EQ(arb.job_stats(1).waits, 0);
-  arb.remove_job(1);
-  EXPECT_EQ(arb.active_jobs(), 0);
-}
-
-/// Runs `per_job` quantum-sized acquires from two concurrent roots and
-/// returns the interleaved grant order.
-std::vector<int> grant_order(GrantArbiter& arb, std::int64_t quantum,
-                             int per_job, int items_a, int items_b) {
-  std::mutex mu;
-  std::vector<int> order;
-  auto root = [&](std::uint64_t job, int items) {
-    for (int i = 0; i < per_job; ++i) {
-      arb.acquire(job, items);
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(static_cast<int>(job));
-    }
-  };
-  std::thread ta(root, 1, items_a);
-  std::thread tb(root, 2, items_b);
-  ta.join();
-  tb.join();
-  (void)quantum;
-  return order;
-}
-
-TEST(GrantArbiterTest, EqualWeightsAlternateInTheOverlapWindow) {
-  const std::int64_t q = 1 << 10;
-  GrantArbiter arb(q);
-  arb.add_job(1, 1);
-  arb.add_job(2, 1);
-  auto order = grant_order(arb, q, 24, static_cast<int>(q),
-                           static_cast<int>(q));
-  ASSERT_EQ(order.size(), 48u);
-  EXPECT_EQ(arb.job_stats(1).acquired_items, 24 * q);
-  EXPECT_EQ(arb.job_stats(2).acquired_items, 24 * q);
-  // In the window where both jobs are backlogged (between the other job's
-  // first and last grant), quantum-sized grants under equal weights strictly
-  // alternate: a job's next grant needs a fresh rotation past its peer.
-  for (std::size_t i = 1; i + 1 < order.size(); ++i) {
-    const int other = order[i] == 1 ? 2 : 1;
-    bool other_before = false, other_after = false;
-    for (std::size_t j = 0; j < i; ++j) other_before |= order[j] == other;
-    for (std::size_t j = i + 1; j < order.size(); ++j) {
-      other_after |= order[j] == other;
-    }
-    if (other_before && other_after) {
-      EXPECT_NE(order[i], order[i - 1])
-          << "two consecutive grants to job " << order[i] << " at " << i;
-    }
-  }
-}
-
-TEST(GrantArbiterTest, WeightsScaleGrantShares) {
-  const std::int64_t q = 1 << 10;
-  GrantArbiter arb(q);
-  arb.add_job(1, 1);
-  arb.add_job(2, 3);  // 3x credit per rotation
-  auto order = grant_order(arb, q, 30, static_cast<int>(q),
-                           static_cast<int>(q));
-  // In the overlap window, job 1 never lands back-to-back grants (weight 1,
-  // quantum-sized grants spend its whole turn), while job 2 may take up to
-  // 3 in a row but never 4.
-  int run = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    bool overlap = false;
-    const int other = order[i] == 1 ? 2 : 1;
-    bool before = false, after = false;
-    for (std::size_t j = 0; j < i; ++j) before |= order[j] == other;
-    for (std::size_t j = i + 1; j < order.size(); ++j) {
-      after |= order[j] == other;
-    }
-    overlap = before && after;
-    run = (i > 0 && order[i] == order[i - 1]) ? run + 1 : 1;
-    if (overlap && order[i] == 1) {
-      EXPECT_LE(run, 1);
-    }
-    if (overlap && order[i] == 2) {
-      EXPECT_LE(run, 3);
-    }
-  }
-  EXPECT_EQ(arb.job_stats(1).acquired_items, 30 * q);
-  EXPECT_EQ(arb.job_stats(2).acquired_items, 30 * q);
-}
-
-TEST(GrantArbiterTest, OversizedGrantsBorrowAndSitOut) {
-  const std::int64_t q = 100;
-  GrantArbiter arb(q);
-  arb.add_job(1, 1);
-  arb.add_job(2, 1);
-  // Job 1 issues grants 4x the quantum; job 2 issues quantum-sized ones.
-  // Weighted DRR still equalizes *items* over the window: after job 1's
-  // oversized grant its deficit is deeply negative, so job 2 gets ~4 grants
-  // while job 1 pays the debt back.
-  auto order = grant_order(arb, q, 8, 400, 100);
-  std::int64_t total_1 = arb.job_stats(1).acquired_items;
-  std::int64_t total_2 = arb.job_stats(2).acquired_items;
-  EXPECT_EQ(total_1, 8 * 400);
-  EXPECT_EQ(total_2, 8 * 100);
-  ASSERT_EQ(order.size(), 16u);
 }
 
 // -- JobManager: admission and backpressure -----------------------------------
@@ -414,8 +299,7 @@ TEST(JobManagerTest, SameKeyJobsCoalesceIntoSharedGroups) {
     handles.push_back(mgr.submit(jo, [&xs](JobContext& ctx) {
       sched::SchedOptions opts;
       opts.grain = 256;
-      double r = dist::sum(ctx.comm(), [&] { return from_array(xs); },
-                           ctx.sched_options(opts));
+      double r = dist::sum(ctx.comm(), [&] { return from_array(xs); }, opts);
       if (ctx.rank() == 0) {
         TRIOLET_CHECK(std::isfinite(r), "batched sum returned non-finite");
       }
@@ -437,6 +321,54 @@ TEST(JobManagerTest, SameKeyJobsCoalesceIntoSharedGroups) {
   (void)expect;
 }
 
+TEST(JobManagerTest, BatchedJobsWithOneTuneKeyShareOneTuner) {
+  // Jobs batched into one group run one after another on the same Comms,
+  // so the registry behind SchedulePolicy::kAuto's implicit tuner carries
+  // the first job's rounds into the second when both use one tune_key.
+  ServiceOptions so;
+  so.nranks = 2;
+  so.max_concurrent = 1;
+  so.batch_limit = 2;
+  JobManager mgr(so);
+
+  // Park the dispatcher slot so both kAuto jobs queue and form one group.
+  std::atomic<bool> release{false};
+  std::atomic<int> started{0};
+  JobHandle parked = mgr.submit({"parked"}, [&](JobContext& ctx) {
+    if (ctx.rank() == 0) started.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+    ctx.comm().barrier();
+  });
+  while (started.load() == 0) std::this_thread::yield();
+
+  auto xs = random_array(4096, 23);
+  const sched::SchedOptions opts = dist::auto_options(/*tune_key=*/5);
+  std::vector<int> rounds_at_start(2 * so.nranks, -1);
+  std::vector<JobHandle> handles;
+  for (int j = 0; j < 2; ++j) {
+    JobOptions jo;
+    jo.name = "auto-" + std::to_string(j);
+    jo.batch_key = 3;
+    handles.push_back(mgr.submit(jo, [&, j](JobContext& ctx) {
+      rounds_at_start[static_cast<std::size_t>(j * so.nranks + ctx.rank())] =
+          sched::detail::tuner_for(ctx.comm(), opts).rounds();
+      (void)dist::sum(ctx.comm(), [&] { return from_array(xs); }, opts);
+    }));
+  }
+  release.store(true);
+  EXPECT_TRUE(parked.wait().ok);
+  for (auto& h : handles) {
+    JobResult r = h.wait();
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.batched_with, 1) << "the two jobs did not share a group";
+  }
+  for (int r = 0; r < so.nranks; ++r) {
+    EXPECT_EQ(rounds_at_start[static_cast<std::size_t>(r)], 0) << "rank " << r;
+    EXPECT_GT(rounds_at_start[static_cast<std::size_t>(so.nranks + r)], 0)
+        << "rank " << r;
+  }
+}
+
 // -- JobManager: per-job stats attribution ------------------------------------
 
 TEST(JobManagerTest, PerJobStatsIsolateConcurrentWorkloads) {
@@ -453,8 +385,7 @@ TEST(JobManagerTest, PerJobStatsIsolateConcurrentWorkloads) {
     return [&xs](JobContext& ctx) {
       sched::SchedOptions opts;
       opts.grain = 500;
-      (void)dist::sum(ctx.comm(), [&] { return from_array(xs); },
-                      ctx.sched_options(opts));
+      (void)dist::sum(ctx.comm(), [&] { return from_array(xs); }, opts);
     };
   };
   JobHandle ha = mgr.submit({"big"}, reduce_job(big));
@@ -466,10 +397,6 @@ TEST(JobManagerTest, PerJobStatsIsolateConcurrentWorkloads) {
   // Each job's summed-over-ranks delta covers exactly its own extent.
   EXPECT_EQ(ra.stats.sched.items_executed, n_big);
   EXPECT_EQ(rb.stats.sched.items_executed, n_small);
-  // The fair-share gate saw every granted unit of its own job and only
-  // those (root self-issues included).
-  EXPECT_EQ(ra.fair_share.acquired_items, n_big);
-  EXPECT_EQ(rb.fair_share.acquired_items, n_small);
   EXPECT_GE(ra.run_seconds, 0.0);
   EXPECT_GE(ra.queued_seconds, 0.0);
 }
@@ -499,8 +426,7 @@ TEST(JobManagerTest, AFailingJobDoesNotPoisonItsNeighbors) {
     JobHandle good = mgr.submit({"good"}, [&xs](JobContext& ctx) {
       sched::SchedOptions opts;
       opts.grain = 512;
-      (void)dist::sum(ctx.comm(), [&] { return from_array(xs); },
-                      ctx.sched_options(opts));
+      (void)dist::sum(ctx.comm(), [&] { return from_array(xs); }, opts);
     });
 
     JobResult rb = bad.wait();
@@ -543,9 +469,9 @@ TEST(JobManagerTest, BatchNeighborsOfAFailedJobReportTheRootCause) {
   });
   while (started.load() == 0) std::this_thread::yield();
 
-  JobOptions a{"first", 1, 5};
-  JobOptions b{"boom", 1, 5};
-  JobOptions c{"skipped", 1, 5};
+  JobOptions a{.name = "first", .batch_key = 5};
+  JobOptions b{.name = "boom", .batch_key = 5};
+  JobOptions c{.name = "skipped", .batch_key = 5};
   JobHandle ha = mgr.submit(a, [](JobContext& ctx) { ctx.comm().barrier(); });
   JobHandle hb = mgr.submit(b, [](JobContext&) {
     throw std::runtime_error("batched failure");
@@ -683,7 +609,7 @@ TEST(JobManagerTest, OrderedReduceIsBitwiseIdenticalConcurrentVsSolo) {
   }
 
   // The same jobs concurrently inside a busy service: different grant
-  // interleavings, fair-share gating, shared pools — same bits.
+  // interleavings, shared pools — same bits.
   ServiceOptions so;
   so.nranks = ranks;
   so.max_concurrent = 3;
@@ -693,7 +619,6 @@ TEST(JobManagerTest, OrderedReduceIsBitwiseIdenticalConcurrentVsSolo) {
   for (int j = 0; j < jobs; ++j) {
     JobOptions jo;
     jo.name = "ordered-" + std::to_string(j);
-    jo.weight = 1 + (j % 3);
     jo.batch_key = j >= 4 ? 9 : 0;  // a couple of them batched together
     handles.push_back(mgr.submit(jo, [&, j](JobContext& ctx) {
       sched::SchedOptions opts;
@@ -701,7 +626,7 @@ TEST(JobManagerTest, OrderedReduceIsBitwiseIdenticalConcurrentVsSolo) {
       opts.grain = grain;
       double r = dist::reduce(ctx.comm(), [&] { return from_array(data[j]); },
                               0.0, [](double a, double b) { return a + b; },
-                              ctx.sched_options(opts));
+                              opts);
       if (ctx.rank() == 0) got[j] = r;
     }));
   }
