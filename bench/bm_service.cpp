@@ -12,9 +12,10 @@
 //
 // The service run submits the same stream to one resident JobManager:
 // small jobs coalesce into batch groups (amortizing group spawn), up to
-// max_concurrent groups run at once under per-job tag-band isolation, and
-// the large jobs' repeated scatters of the shared dataset collapse to
-// residency tokens after the first (manager-owned per-rank caches).
+// max_concurrent groups run at once, each in a slot with a transport fabric
+// of its own, and the large jobs' repeated scatters of the shared dataset
+// collapse to residency tokens after the first (manager-owned per-rank
+// caches).
 //
 // Measured: job throughput (jobs / makespan) and per-job latency
 // (completion time since the stream started; queued + run for the service).

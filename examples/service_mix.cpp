@@ -5,9 +5,9 @@
 // their answers are bit-reproducible) and two heavyweight jobs that rescan
 // one shared resident dataset. The small jobs share a batch_key, so the
 // manager coalesces them into batch groups; the large jobs run concurrently
-// in their own tag bands.
+// in slots of their own, each slot a private transport fabric.
 //
-// The example prints a per-job table (queue time, run time, band, batch
+// The example prints a per-job table (queue time, run time, slot, batch
 // company, grants the root served) and self-validates: every small job's
 // result must be bitwise identical to the same reduction run solo in its
 // own Cluster::run, and all jobs must succeed.
@@ -129,7 +129,7 @@ int main() {
   handles.emplace_back(scan1.name, mgr.submit(scan1, scan_body));
 
   std::printf("%-8s  %-5s  %9s  %9s  %6s  %7s  %6s  %6s\n", "job", "ok",
-              "queued(s)", "run(s)", "band", "batched", "grants", "tokens");
+              "queued(s)", "run(s)", "slot", "batched", "grants", "tokens");
   bool all_ok = true;
   std::int64_t scan1_tokens = 0;
   for (auto& [name, h] : handles) {
@@ -138,14 +138,14 @@ int main() {
     if (name == "scan-1") scan1_tokens = r.stats.residency.tokens_sent;
     std::printf("%-8s  %-5s  %9.4f  %9.4f  %6d  %7d  %6lld  %6lld\n",
                 name.c_str(), r.ok ? "yes" : "NO", r.queued_seconds,
-                r.run_seconds, r.band_base, r.batched_with,
+                r.run_seconds, r.slot, r.batched_with,
                 static_cast<long long>(r.stats.sched.grants_served),
                 static_cast<long long>(r.stats.residency.tokens_sent));
   }
   mgr.drain();
   auto s = mgr.stats();
   std::printf("\nservice: %lld jobs, %lld batches (%lld jobs batched), "
-              "peak %d groups, %lld band leases\n",
+              "peak %d groups, %lld groups in all\n",
               static_cast<long long>(s.completed),
               static_cast<long long>(s.batches),
               static_cast<long long>(s.batched_jobs), s.peak_concurrent,

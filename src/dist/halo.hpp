@@ -24,9 +24,9 @@
 //     ghost_cells, halo_messages) with the interior-compute window that hid
 //     the transfer in halo_overlap_seconds.
 //
-// Tags live in the user band (below net::kJobUserTagLimit), so halo jobs
-// compose with the service layer's tag fold; sweeps alternate tag parity so
-// a rank running ahead can never match round k+1's band to round k's recv.
+// Tags live in the user band (below net::kUserTagLimit), clear of every
+// reserved band; sweeps alternate tag parity so a rank running ahead can
+// never match round k+1's band to round k's recv.
 
 #include <chrono>
 #include <cstdint>

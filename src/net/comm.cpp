@@ -10,15 +10,15 @@ void ClusterState::abort_all() {
   transport.interrupt_all();
 }
 
-void ClusterState::interrupt_all() { transport.interrupt_all(); }
-
 void Comm::deliver_segments(int dst, int tag, serial::SegmentedBytes sg) {
+  // Every send routes through here. Negative tags are receive wildcards
+  // (kAnyTag): a message carrying one would match any kAnyTag receive.
+  TRIOLET_CHECK(tag >= 0, "send tags must be non-negative");
   const auto zero_copy = static_cast<std::int64_t>(sg.bytes_borrowed());
   const auto total = static_cast<std::int64_t>(sg.size());
-  // The single send-side mapping point: every send routes through here.
   // Counted only once the transport accepts it: a send that throws (say,
   // BufferOverflow) was never sent.
-  endpoint_->deliver(dst, tags_.map(tag), std::move(sg), stats_.msg);
+  endpoint_.deliver(dst, tag, std::move(sg), stats_.msg);
   stats_.messages_sent += 1;
   stats_.bytes_sent += total;
   stats_.bytes_zero_copy += zero_copy;
@@ -67,22 +67,17 @@ void Comm::dispatch_service(std::size_t idx, Message& m) {
 }
 
 void Comm::set_service(int tag, std::function<void(Message&)> handler) {
-  const int mapped = tags_.map(tag);
-  for (const auto& s : services_) {
-    TRIOLET_CHECK(s.first != mapped, "service already registered for this tag");
-  }
-  services_.emplace_back(mapped, std::move(handler));
+  TRIOLET_CHECK(!has_service(tag), "service already registered for this tag");
+  services_.emplace_back(tag, std::move(handler));
 }
 
 void Comm::clear_service(int tag) {
-  const int mapped = tags_.map(tag);
-  std::erase_if(services_, [&](const auto& s) { return s.first == mapped; });
+  std::erase_if(services_, [&](const auto& s) { return s.first == tag; });
 }
 
 bool Comm::has_service(int tag) const {
-  const int mapped = tags_.map(tag);
   for (const auto& s : services_) {
-    if (s.first == mapped) return true;
+    if (s.first == tag) return true;
   }
   return false;
 }
@@ -90,8 +85,7 @@ bool Comm::has_service(int tag) const {
 void Comm::poll_services() {
   for (std::size_t i = 0; i < services_.size(); ++i) {
     Message m;
-    while (endpoint_->try_pop_match(kAnySource, services_[i].first, m,
-                                    tags_.any_lo(), tags_.any_hi())) {
+    while (endpoint_.try_pop_match(kAnySource, services_[i].first, m)) {
       finish_recv(m, /*attribute_collective=*/false);
       dispatch_service(i, m);
     }
@@ -102,19 +96,14 @@ Message Comm::pop_with_services(std::span<const std::pair<int, int>> user,
                                 std::size_t& which_user) {
   // Service patterns come first: pop_match_any reports the first matching
   // pattern of the *earliest* matching message, so a queued service request
-  // is dispatched even when a user pattern is a full wildcard. Service tags
-  // are stored mapped; user patterns arrive canonical and map here.
+  // is dispatched even when a user pattern is a full wildcard.
   std::vector<std::pair<int, int>> patterns;
   patterns.reserve(services_.size() + user.size());
   for (const auto& s : services_) patterns.emplace_back(kAnySource, s.first);
-  for (const auto& [src, tag] : user) {
-    patterns.emplace_back(src, tags_.map_pattern(tag));
-  }
+  patterns.insert(patterns.end(), user.begin(), user.end());
   while (true) {
     std::size_t which = 0;
-    Message m = endpoint_->pop_match_any(patterns, state_->aborted, which,
-                                         tags_.any_lo(), tags_.any_hi(),
-                                         job_aborted_);
+    Message m = endpoint_.pop_match_any(patterns, state_->aborted, which);
     if (which < services_.size()) {
       finish_recv(m, /*attribute_collective=*/false);
       dispatch_service(which, m);
@@ -128,9 +117,7 @@ Message Comm::pop_with_services(std::span<const std::pair<int, int>> user,
 
 Message Comm::recv_message(int src, int tag) {
   if (services_.empty()) {
-    Message m = endpoint_->pop_match(src, tags_.map_pattern(tag),
-                                     state_->aborted, tags_.any_lo(),
-                                     tags_.any_hi(), job_aborted_);
+    Message m = endpoint_.pop_match(src, tag, state_->aborted);
     finish_recv(m);
     return m;
   }
@@ -141,8 +128,7 @@ Message Comm::recv_message(int src, int tag) {
 
 std::optional<Message> Comm::try_recv_message(int src, int tag) {
   Message m;
-  if (!endpoint_->try_pop_match(src, tags_.map_pattern(tag), m,
-                                tags_.any_lo(), tags_.any_hi())) {
+  if (!endpoint_.try_pop_match(src, tag, m)) {
     return std::nullopt;
   }
   finish_recv(m);

@@ -172,8 +172,8 @@ TRIOLET_STATS_FIELDS(CommStats, messages_sent, bytes_sent, messages_received,
                      bytes_received, bytes_zero_copy, bytes_copied,
                      collectives, sched, pool, residency, views, msg)
 
-/// Shared state of one in-process cluster (owned by Cluster, referenced by
-/// every Comm).
+/// Shared state of one in-process cluster: one fabric and its abort flag
+/// (owned by Cluster, or by a JobManager slot; referenced by every Comm).
 struct ClusterState {
   ClusterState(int nranks, const TransportOptions& transport_options);
 
@@ -181,13 +181,9 @@ struct ClusterState {
   Transport transport;
   std::atomic<bool> aborted{false};
 
+  /// Raises `aborted` and wakes every blocked receiver of this fabric, so
+  /// each throws ClusterAborted.
   void abort_all();
-
-  /// Wakes every blocked receiver *without* raising the cluster abort flag:
-  /// the service layer uses this after raising a per-job abort flag, so the
-  /// failing job's waiters throw ClusterAborted while unrelated jobs
-  /// re-check their own flags and go back to sleep.
-  void interrupt_all();
 };
 
 class PendingRecv;
@@ -195,21 +191,16 @@ class PendingRecv;
 class Comm {
  public:
   /// The two-argument form is the classic single-job communicator. The
-  /// service layer (src/svc/) passes the extra arguments: `tags` remaps the
-  /// whole canonical tag space into the job's leased band (net/tags.hpp
-  /// TagMap), `shared_residency` points at the rank's manager-owned slice
-  /// cache so residency survives across jobs, and `job_aborted` is the
-  /// job group's private abort flag — raised on a job failure so only that
-  /// group's blocked receives throw, not the whole service.
-  explicit Comm(int rank, ClusterState* state, TagMap tags = {},
-                Residency* shared_residency = nullptr,
-                std::atomic<bool>* job_aborted = nullptr)
+  /// service layer (src/svc/) passes `state` = its group's slot, whose
+  /// fabric and abort flag no other group shares, and `shared_residency`,
+  /// the rank's manager-owned slice cache, so residency survives across
+  /// jobs.
+  explicit Comm(int rank, ClusterState* state,
+                Residency* shared_residency = nullptr)
       : rank_(rank),
         state_(state),
-        tags_(tags),
-        endpoint_(&state->transport.attach(rank, tags.base)),
-        shared_residency_(shared_residency),
-        job_aborted_(job_aborted) {}
+        endpoint_(state->transport.endpoint(rank)),
+        shared_residency_(shared_residency) {}
 
   int rank() const { return rank_; }
   int size() const { return state_->nranks; }
@@ -556,14 +547,13 @@ class Comm {
   // Handlers run on the rank thread, always listed *before* the user
   // pattern, so a wildcard receive can never steal a service message.
 
-  /// Registers `handler` for (kAnySource, tag). One handler per tag. `tag`
-  /// is canonical; it is stored mapped so dispatch matches mapped traffic.
+  /// Registers `handler` for (kAnySource, tag). One handler per tag.
   void set_service(int tag, std::function<void(Message&)> handler);
 
   /// Removes the handler for `tag` (no-op when absent).
   void clear_service(int tag);
 
-  /// True when a handler is registered for canonical `tag` (idempotent
+  /// True when a handler is registered for `tag` (idempotent
   /// installation, e.g. the residency fetch service).
   bool has_service(int tag) const;
 
@@ -642,14 +632,10 @@ class Comm {
 
   int rank_;
   ClusterState* state_;
-  /// Canonical-to-leased-band tag map; immutable after construction.
-  TagMap tags_;
-  /// The transport endpoint for this rank in its tag band.
-  Transport::Endpoint* endpoint_ = nullptr;
+  /// This rank's endpoint on the cluster's fabric.
+  Transport::Endpoint endpoint_;
   /// Manager-owned per-rank residency (null outside the service layer).
   Residency* shared_residency_ = nullptr;
-  /// Per-job-group abort flag (null outside the service layer).
-  std::atomic<bool>* job_aborted_ = nullptr;
   /// Rank-thread-only stats: every send and every receive is counted on
   /// the rank thread, so no field needs a lock or an atomic.
   CommStats stats_;

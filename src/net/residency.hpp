@@ -51,7 +51,7 @@ struct SliceFetchRequest {
 /// residency-aware send: receivers may fetch at any later blocking receive.
 /// The installed-flag is per Comm (not per Residency): under the service
 /// layer many job Comms share one Residency, and each job's root must
-/// answer fetches on its own leased tag band.
+/// answer fetches on its own slot's fabric.
 inline void install_residency_fetch_service(Comm& comm) {
   if (comm.has_service(kTagResidentFetch)) return;
   comm.set_service(kTagResidentFetch, [&comm](Message& m) {

@@ -5,7 +5,6 @@
 #include <limits>
 #include <thread>
 
-#include "net/tags.hpp"
 #include "net/transport.hpp"
 #include "serial/bytes.hpp"
 
@@ -74,11 +73,13 @@ Message desc_to_message(const RingDesc& d) {
   return m;
 }
 
-/// One receiver's state within a domain: the incoming rings (indexed by
-/// sender), the private match table, the parker, and a mutex-guarded side
-/// queue for inject()ed test traffic.
-struct RxState {
-  explicit RxState(int nranks)
+}  // namespace
+
+/// One receiver's state: the incoming rings (indexed by sender), the
+/// private match table, the parker, and a mutex-guarded side queue for
+/// inject()ed test traffic.
+struct Transport::Receiver {
+  explicit Receiver(int nranks)
       : rings(static_cast<std::size_t>(nranks)), table(nranks) {}
 
   std::vector<SpscRing> rings;  // rings[src]: src -> this rank
@@ -118,186 +119,117 @@ struct RxState {
     }
     return inject_pending.load(std::memory_order_relaxed);
   }
+
+  /// Parks until a sender publishes, an interrupt lands, or `aborted` is
+  /// raised.
+  void park(const std::atomic<bool>& aborted) {
+    std::unique_lock<std::mutex> lock(parker.mu);
+    parker.parked.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Re-probe under the armed flag (and the lock): either this sees the
+    // sender's publish, or the sender's fenced read sees parked == true and
+    // it queues behind the mutex to notify after the wait is armed.
+    if (!maybe_pending() && !aborted.load(std::memory_order_acquire)) {
+      parker.cv.wait(lock);
+    }
+    parker.parked.store(false, std::memory_order_relaxed);
+  }
+
+  /// Sweeps in-flight descriptors into the table, then drops everything.
+  void purge() {
+    drain();
+    table.purge_range(std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max());
+  }
 };
 
-/// Parks the receiver until a sender publishes, an interrupt lands, or an
-/// abort flag is raised.
-void park(RxState& r, const std::atomic<bool>& aborted,
-          const std::atomic<bool>* also_aborted) {
-  std::unique_lock<std::mutex> lock(r.parker.mu);
-  r.parker.parked.store(true, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // Re-probe under the armed flag (and the lock): either this sees the
-  // sender's publish, or the sender's fenced read sees parked == true and
-  // it queues behind the mutex to notify after the wait is armed.
-  if (!r.maybe_pending() && !aborted.load(std::memory_order_acquire) &&
-      !(also_aborted && also_aborted->load(std::memory_order_acquire))) {
-    r.parker.cv.wait(lock);
-  }
-  r.parker.parked.store(false, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-/// One tag band's private P*P fabric. Bands map a job's entire tag space
-/// into a disjoint range, so traffic never crosses domains and each
-/// (job, rank) pair keeps the single-consumer / single-producer invariants
-/// the rings and tables rely on.
-class Transport::Domain {
- public:
-  Domain(int nranks, std::size_t max_message_bytes, std::size_t eager_bytes)
-      : max_message_bytes_(max_message_bytes), eager_bytes_(eager_bytes) {
-    rx_.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      rx_.push_back(std::make_unique<RxState>(nranks));
-    }
-  }
-
-  ~Domain() { purge_all(); }
-
-  RxState& rx(int rank) { return *rx_[static_cast<std::size_t>(rank)]; }
-
-  void deliver(int src, int dst, int tag, serial::SegmentedBytes sg,
-               MsgStats& ms) {
-    const std::size_t n = sg.size();
-    if (max_message_bytes_ != 0 && n > max_message_bytes_) {
-      throw BufferOverflow();
-    }
-    RingDesc d;
-    d.src = src;
-    d.tag = tag;
-    d.size = n;
-    // The stamp is the checksum accumulated at *write* time, not a hash of
-    // the gathered bytes: a borrowed span that was sliced wrong or mutated
-    // between serialization and this gather fails validation at the
-    // receiver instead of checksumming itself consistently.
-    d.checksum = sg.stream_checksum();
-    if (n <= eager_bytes_ || n == 0) {
-      d.kind = RingDesc::kEager;
-      if (n != 0) {
-        BufferPool::Alloc a = BufferPool::instance().allocate(n);
-        sg.gather_into(a.p);
-        d.ptr = a.p;
-        d.pclass = a.cls;
-        (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
-        if (sg.all_owned()) {
-          serial::recycle_stream_buffer(sg.take_owned_storage());
-        }
-      }
-      ms.eager_msgs += 1;
-    } else {
-      d.kind = RingDesc::kRendezvous;
-      std::vector<std::byte> flat;
-      if (!sg.take_flat(flat)) {
-        // Borrowed spans are only valid for this call: gather them now into
-        // a recycled buffer and pass that on. All-owned payloads above skip
-        // this copy entirely — the staging vector itself changes hands.
-        flat = serial::acquire_stream_buffer();
-        flat.resize(n);
-        sg.gather_into(flat.data());
-        serial::recycle_stream_buffer(sg.take_owned_storage());
-      }
-      BufferPool::Alloc a = BufferPool::instance().allocate(sizeof(RzNode));
-      d.ptr = new (a.p) RzNode{std::move(flat)};
-      d.pclass = a.cls;
-      (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
-      ms.rendezvous_msgs += 1;
-    }
-    RxState& r = rx(dst);
-    if (!r.rings[static_cast<std::size_t>(src)].push(d)) {
-      ms.ring_full_stalls += 1;
-    }
-    r.parker.wake();
-  }
-
-  void inject(int dst, Message m) {
-    RxState& r = rx(dst);
-    {
-      std::lock_guard<std::mutex> lock(r.inject_mu);
-      r.inject_q.push_back(std::move(m));
-      r.inject_pending.store(true, std::memory_order_release);
-    }
-    r.parker.wake();
-  }
-
-  void interrupt_all() {
-    for (auto& r : rx_) {
-      std::lock_guard<std::mutex> lock(r->parker.mu);
-      r->parker.cv.notify_all();
-    }
-  }
-
-  /// Sweeps in-flight descriptors into the tables, then purges [lo, hi).
-  /// Quiescence contract: no rank thread is active in this domain.
-  std::size_t purge_range(int lo, int hi) {
-    std::size_t dropped = 0;
-    for (auto& r : rx_) {
-      r->drain();
-      dropped += r->table.purge_range(lo, hi);
-    }
-    return dropped;
-  }
-
-  void purge_all() {
-    for (auto& r : rx_) {
-      r->drain();
-      r->table.purge_range(std::numeric_limits<int>::min(),
-                           std::numeric_limits<int>::max());
-    }
-  }
-
- private:
-  const std::size_t max_message_bytes_;
-  const std::size_t eager_bytes_;
-  std::vector<std::unique_ptr<RxState>> rx_;
-};
-
-// -- Endpoint: rank r's handle on one domain. deliver() runs as sender r;
-// the pop family reads rank r's RxState.
+// -- Endpoint: rank r's handle on the fabric. deliver() runs as sender r;
+// the pop family reads rank r's Receiver.
 
 void Transport::Endpoint::deliver(int dst, int tag, serial::SegmentedBytes sg,
                                   MsgStats& ms) {
-  domain_->deliver(rank_, dst, tag, std::move(sg), ms);
+  const std::size_t n = sg.size();
+  if (transport_->max_message_bytes_ != 0 &&
+      n > transport_->max_message_bytes_) {
+    throw BufferOverflow();
+  }
+  RingDesc d;
+  d.src = rank_;
+  d.tag = tag;
+  d.size = n;
+  // The stamp is the checksum accumulated at *write* time, not a hash of
+  // the gathered bytes: a borrowed span that was sliced wrong or mutated
+  // between serialization and this gather fails validation at the
+  // receiver instead of checksumming itself consistently.
+  d.checksum = sg.stream_checksum();
+  if (n <= transport_->eager_bytes_ || n == 0) {
+    d.kind = RingDesc::kEager;
+    if (n != 0) {
+      BufferPool::Alloc a = BufferPool::instance().allocate(n);
+      sg.gather_into(a.p);
+      d.ptr = a.p;
+      d.pclass = a.cls;
+      (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
+      if (sg.all_owned()) {
+        serial::recycle_stream_buffer(sg.take_owned_storage());
+      }
+    }
+    ms.eager_msgs += 1;
+  } else {
+    d.kind = RingDesc::kRendezvous;
+    std::vector<std::byte> flat;
+    if (!sg.take_flat(flat)) {
+      // Borrowed spans are only valid for this call: gather them now into
+      // a recycled buffer and pass that on. All-owned payloads above skip
+      // this copy entirely — the staging vector itself changes hands.
+      flat = serial::acquire_stream_buffer();
+      flat.resize(n);
+      sg.gather_into(flat.data());
+      serial::recycle_stream_buffer(sg.take_owned_storage());
+    }
+    BufferPool::Alloc a = BufferPool::instance().allocate(sizeof(RzNode));
+    d.ptr = new (a.p) RzNode{std::move(flat)};
+    d.pclass = a.cls;
+    (a.pool_hit ? ms.pool_hits : ms.pool_misses) += 1;
+    ms.rendezvous_msgs += 1;
+  }
+  Receiver& r = transport_->rx(dst);
+  if (!r.rings[static_cast<std::size_t>(rank_)].push(d)) {
+    ms.ring_full_stalls += 1;
+  }
+  r.parker.wake();
 }
 
 Message Transport::Endpoint::pop_match(int src, int tag,
-                                       const std::atomic<bool>& aborted,
-                                       int wild_lo, int wild_hi,
-                                       const std::atomic<bool>* also_aborted) {
+                                       const std::atomic<bool>& aborted) {
   const std::pair<int, int> pattern{src, tag};
   std::size_t which = 0;
-  return pop_match_any({&pattern, 1}, aborted, which, wild_lo, wild_hi,
-                       also_aborted);
+  return pop_match_any({&pattern, 1}, aborted, which);
 }
 
 Message Transport::Endpoint::pop_match_any(
     std::span<const std::pair<int, int>> patterns,
-    const std::atomic<bool>& aborted, std::size_t& which, int wild_lo,
-    int wild_hi, const std::atomic<bool>* also_aborted) {
-  RxState& r = domain_->rx(rank_);
+    const std::atomic<bool>& aborted, std::size_t& which) {
+  Receiver& r = transport_->rx(rank_);
   std::size_t spins = 0;
   while (true) {
     if (r.drain()) spins = 0;
-    MatchTable::Entry* e = r.table.find_any(patterns, which, wild_lo, wild_hi);
+    MatchTable::Entry* e = r.table.find_any(patterns, which);
     if (e != nullptr) return r.table.take(e);
-    if (aborted.load(std::memory_order_acquire) ||
-        (also_aborted && also_aborted->load(std::memory_order_acquire))) {
-      throw ClusterAborted();
-    }
+    if (aborted.load(std::memory_order_acquire)) throw ClusterAborted();
     if (spins < kRecvSpinBudget) {
       spins += 1;
       std::this_thread::yield();
       continue;
     }
-    park(r, aborted, also_aborted);
+    r.park(aborted);
   }
 }
 
-bool Transport::Endpoint::try_pop_match(int src, int tag, Message& out,
-                                        int wild_lo, int wild_hi) {
-  RxState& r = domain_->rx(rank_);
+bool Transport::Endpoint::try_pop_match(int src, int tag, Message& out) {
+  Receiver& r = transport_->rx(rank_);
   r.drain();
-  MatchTable::Entry* e = r.table.find(src, tag, wild_lo, wild_hi);
+  MatchTable::Entry* e = r.table.find(src, tag);
   if (e == nullptr) return false;
   out = r.table.take(e);
   return true;
@@ -306,69 +238,42 @@ bool Transport::Endpoint::try_pop_match(int src, int tag, Message& out,
 // -- Transport ----------------------------------------------------------------
 
 Transport::Transport(int nranks, const TransportOptions& options)
-    : nranks_(nranks),
-      max_message_bytes_(options.max_message_bytes),
+    : max_message_bytes_(options.max_message_bytes),
       eager_bytes_(resolve_eager_bytes(options.eager_bytes)) {
   TRIOLET_CHECK(nranks >= 1, "cluster needs at least one rank");
-}
-
-Transport::~Transport() = default;
-
-Transport::Domain& Transport::domain_locked(int band_base) {
-  auto& dom = domains_[band_base];
-  if (!dom) {
-    dom = std::make_unique<Domain>(nranks_, max_message_bytes_, eager_bytes_);
+  rx_.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    rx_.push_back(std::make_unique<Receiver>(nranks));
   }
-  return *dom;
 }
 
-Transport::Endpoint& Transport::attach(int rank, int band_base) {
-  TRIOLET_CHECK(rank >= 0 && rank < nranks_,
-                "attach: rank outside the cluster");
-  std::lock_guard<std::mutex> lock(mu_);
-  Domain& dom = domain_locked(band_base);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(band_base))
-       << 32) |
-      static_cast<std::uint32_t>(rank);
-  auto& ep = endpoints_[key];
-  if (!ep) ep = std::make_unique<Endpoint>(&dom, rank);
-  return *ep;
+Transport::~Transport() { purge(); }
+
+Transport::Endpoint Transport::endpoint(int rank) {
+  TRIOLET_CHECK(rank >= 0 && rank < static_cast<int>(rx_.size()),
+                "endpoint: rank outside the cluster");
+  return Endpoint(this, rank);
 }
 
-std::size_t Transport::purge_tag_range(int lo, int hi) {
-  // A band's traffic lives only in its own domain (senders map every tag
-  // into the band), so only domains inside [lo, hi) are touched — other
-  // domains may have live rank threads, and draining their rings from
-  // this thread would break the single-consumer invariant.
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t dropped = 0;
-  for (auto& [base, dom] : domains_) {
-    if (base >= lo && base < hi) dropped += dom->purge_range(lo, hi);
-  }
-  return dropped;
+void Transport::purge() {
+  for (auto& r : rx_) r->purge();
 }
 
 void Transport::interrupt_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [base, dom] : domains_) dom->interrupt_all();
+  for (auto& r : rx_) {
+    std::lock_guard<std::mutex> lock(r->parker.mu);
+    r->parker.cv.notify_all();
+  }
 }
 
 void Transport::inject(int dst, Message m) {
-  Domain* dom = nullptr;
+  Receiver& r = rx(dst);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Route by the message's tag: the domain whose band contains it, or
-    // the identity domain (created on demand for transport-only tests).
-    for (auto& [base, d] : domains_) {
-      if (base != 0 && m.tag >= base && m.tag < base + kJobBandWidth) {
-        dom = d.get();
-        break;
-      }
-    }
-    if (dom == nullptr) dom = &domain_locked(0);
+    std::lock_guard<std::mutex> lock(r.inject_mu);
+    r.inject_q.push_back(std::move(m));
+    r.inject_pending.store(true, std::memory_order_release);
   }
-  dom->inject(dst, std::move(m));
+  r.parker.wake();
 }
 
 }  // namespace triolet::net

@@ -2,7 +2,7 @@
 
 // The lock-free messaging data plane behind net::Transport.
 //
-// Layout per tag-band domain (docs/INTERNALS.md §16):
+// Layout of one fabric (docs/INTERNALS.md §16):
 //
 //   sender r ── SpscRing(r, s) ──▶ receiver s drains into MatchTable(s)
 //
@@ -11,7 +11,7 @@
 // lock and no contention between senders. The receiver drains every ring
 // into a private tag-indexed match table — open-addressed buckets keyed by
 // (src, tag), FIFO per key, plus one arrival-order list for wildcard
-// windows — so pop_match is a hash lookup instead of an O(pending) scan of
+// receives — so pop_match is a hash lookup instead of an O(pending) scan of
 // one shared queue under a lock.
 //
 // A descriptor is fixed-size and trivially copyable. Payloads ride along in
@@ -177,10 +177,10 @@ class SpscRing {
 /// thread touches it. Entries live in pooled slabs recycled through a local
 /// freelist, so steady-state insert/remove allocates nothing.
 ///
-/// Matching invariant: the earliest entry in any arrival-window that a
-/// pattern selects is always the head of its bucket (same-bucket entries
-/// share (src, tag) and arrive in order), so every removal is an O(1)
-/// bucket-head pop and per-(src, tag) FIFO order is structural.
+/// Matching invariant: the earliest entry a pattern selects is always the
+/// head of its bucket (same-bucket entries share (src, tag) and arrive in
+/// order), so every removal is an O(1) bucket-head pop and per-(src, tag)
+/// FIFO order is structural.
 class MatchTable {
  public:
   struct Entry {
@@ -219,10 +219,10 @@ class MatchTable {
     count_ += 1;
   }
 
-  /// Earliest entry matching (src, tag) with wildcards and the kAnyTag
-  /// window, or null. The returned pointer is valid until the next
-  /// mutation; remove it with take().
-  Entry* find(int src, int tag, int wild_lo, int wild_hi) {
+  /// Earliest entry matching (src, tag) with wildcards, or null. The
+  /// returned pointer is valid until the next mutation; remove it with
+  /// take().
+  Entry* find(int src, int tag) {
     if (tag != kAnyTag) {
       if (src != kAnySource) {
         Slot* s = lookup(key_of(src, tag));
@@ -238,13 +238,10 @@ class MatchTable {
       }
       return best;
     }
-    // Wildcard tag: walk the arrival list inside the window. The first hit
-    // is the earliest by construction.
+    // Wildcard tag: walk the arrival list. The first hit is the earliest
+    // by construction.
     for (Entry* e = arrival_head_; e != nullptr; e = e->arrival_next) {
-      if (e->msg.tag >= wild_lo && e->msg.tag < wild_hi &&
-          (src == kAnySource || e->msg.src == src)) {
-        return e;
-      }
+      if (src == kAnySource || e->msg.src == src) return e;
     }
     return nullptr;
   }
@@ -252,10 +249,10 @@ class MatchTable {
   /// Earliest entry matching any pattern; `which` gets the pattern index
   /// (ties on one entry go to the lowest index). Null when nothing matches.
   Entry* find_any(std::span<const std::pair<int, int>> patterns,
-                  std::size_t& which, int wild_lo, int wild_hi) {
+                  std::size_t& which) {
     Entry* best = nullptr;
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      Entry* e = find(patterns[p].first, patterns[p].second, wild_lo, wild_hi);
+      Entry* e = find(patterns[p].first, patterns[p].second);
       if (e && (!best || e->seq < best->seq)) {
         best = e;
         which = p;

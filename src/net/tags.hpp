@@ -10,7 +10,6 @@
 // Cluster startup (assert_tag_bands_disjoint) instead of surfacing as
 // cross-matched messages under load.
 
-#include <limits>
 #include <span>
 #include <string>
 
@@ -87,95 +86,6 @@ inline std::span<const TagBand> reserved_tag_bands() {
   return kBands;
 }
 
-// -- per-job leased bands (src/svc/) -----------------------------------------
-//
-// The service layer runs many concurrent jobs over one shared message
-// network. Each job leases one band out of the region below and a TagMap
-// folds the job's *entire* canonical tag space — user tags plus every
-// reserved band above — into its lease, so two jobs' messages can never
-// match each other even when both run collectives, scheduled skeletons, and
-// residency traffic at the same time. The canonical space is compressed
-// (user tags are capped at kJobUserTagLimit; the reserved bands pack at
-// running offsets) so a lease is 2^22 tags wide and hundreds of bands fit
-// between the region base and INT_MAX.
-
-/// User tags a leased job may use: [0, kJobUserTagLimit). Far beyond what
-/// any skeleton needs, small enough that the whole compressed space packs.
-inline constexpr int kJobUserTagLimit = 1 << 20;
-
-// Running offsets of the reserved bands inside one compressed job band.
-// Each width is derived from the canonical band constants above, so adding
-// tags to a reserved band automatically widens its compressed image.
-inline constexpr int kJobSchedOffset = kJobUserTagLimit;
-inline constexpr int kJobResidencyOffset =
-    kJobSchedOffset + (kTagSchedBandEnd - kTagSchedBand);
-inline constexpr int kJobCollectiveOffset =
-    kJobResidencyOffset + (kTagResidencyBandEnd - kTagResidencyBand);
-inline constexpr int kJobBandUsed =
-    kJobCollectiveOffset + (kCollectiveBandsEnd - kFirstReservedTag);
-
-/// Width of one leased band. The used portion must fit with room to grow.
-inline constexpr int kJobBandWidth = 1 << 22;
-static_assert(kJobBandUsed <= kJobBandWidth,
-              "compressed job tag space outgrew the per-job band width");
-
-/// Leased bands live in [kJobBandRegion, INT_MAX), above every static band.
-inline constexpr int kJobBandRegion = 1 << 29;
-static_assert(kCollectiveBandsEnd <= kJobBandRegion,
-              "static reserved bands overlap the job-band region");
-
-/// How many bands fit in the region — the hard concurrency ceiling of one
-/// service instance (svc::BandAllocator throws BandsExhausted past it).
-inline constexpr int kMaxJobBands =
-    (std::numeric_limits<int>::max() - kJobBandRegion) / kJobBandWidth;
-
-/// Base tag of job band slot `slot` in [0, kMaxJobBands).
-inline constexpr int job_band_base(int slot) {
-  return kJobBandRegion + slot * kJobBandWidth;
-}
-
-/// Maps a job's canonical tag space into its leased band. base == 0 is the
-/// identity map (a Comm outside the service layer). The map is a pure
-/// function of immutable state.
-struct TagMap {
-  int base = 0;
-
-  bool identity() const { return base == 0; }
-
-  /// Window a wildcard (kAnyTag) receive is allowed to match: the leased
-  /// band for a job Comm, the whole tag space for an identity Comm. This is
-  /// what keeps one job's kAnySource/kAnyTag service loops from stealing
-  /// another job's traffic.
-  int any_lo() const { return base; }
-  int any_hi() const {
-    return base == 0 ? std::numeric_limits<int>::max() : base + kJobBandWidth;
-  }
-
-  int map(int tag) const {
-    if (base == 0) return tag;
-    if (tag < kUserTagLimit) {
-      TRIOLET_CHECK(tag >= 0 && tag < kJobUserTagLimit,
-                    "service jobs must keep user tags below kJobUserTagLimit");
-      return base + tag;
-    }
-    if (tag >= kTagSchedBand && tag < kTagSchedBandEnd) {
-      return base + kJobSchedOffset + (tag - kTagSchedBand);
-    }
-    if (tag >= kTagResidencyBand && tag < kTagResidencyBandEnd) {
-      return base + kJobResidencyOffset + (tag - kTagResidencyBand);
-    }
-    if (tag >= kFirstReservedTag && tag < kCollectiveBandsEnd) {
-      return base + kJobCollectiveOffset + (tag - kFirstReservedTag);
-    }
-    TRIOLET_CHECK(false, "tag outside every reserved band cannot be leased");
-    return tag;
-  }
-
-  /// map() that passes receive wildcards (negative tags) through unchanged;
-  /// the transport restricts what a wildcard may match via [any_lo, any_hi).
-  int map_pattern(int tag) const { return tag < 0 ? tag : map(tag); }
-};
-
 /// True when no two bands in `bands` overlap; on failure, `why` (if
 /// non-null) names the offending pair.
 inline bool tag_bands_disjoint(std::span<const TagBand> bands,
@@ -198,17 +108,12 @@ inline bool tag_bands_disjoint(std::span<const TagBand> bands,
   return true;
 }
 
-/// Fails fast if any two reserved bands overlap, or if any static band
-/// reaches into the dynamically leased job-band region. Called from Cluster
-/// and JobManager startup so a bad band constant can never ship a single
+/// Fails fast if any two reserved bands overlap. Called from Cluster and
+/// JobManager startup so a bad band constant can never ship a single
 /// message.
 inline void assert_tag_bands_disjoint() {
   std::string why;
   TRIOLET_CHECK(tag_bands_disjoint(reserved_tag_bands(), &why), why.c_str());
-  for (const TagBand& b : reserved_tag_bands()) {
-    TRIOLET_CHECK(b.hi <= kJobBandRegion,
-                  "a static reserved band reaches into the job-band region");
-  }
 }
 
 }  // namespace triolet::net

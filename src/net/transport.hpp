@@ -3,31 +3,35 @@
 // Transport: the data plane under Comm.
 //
 // Comm implements the MPI-shaped API (typed sends, collectives, services,
-// tag mapping, stats attribution); the Transport moves finished payloads
-// between ranks and matches them on the receive side. It is the lock-free
-// ring plane: per-(sender, receiver) SPSC descriptor rings drained into a
+// stats attribution); the Transport moves finished payloads between ranks
+// and matches them on the receive side. It is the lock-free ring plane:
+// per-(sender, receiver) SPSC descriptor rings drained into a
 // receiver-private tag-indexed match table, slab-pooled eager payloads, and
 // an ownership-passing rendezvous path for large messages. The building
 // blocks live in net/ring_transport.hpp, the wiring in ring_transport.cpp.
+//
+// One Transport is one P*P fabric with a private matching context, the
+// analogue of an MPI communicator: traffic never leaves it, so concurrent
+// service jobs are kept apart by running each on a fabric of its own
+// (src/svc/).
 //
 // Threading contract:
 //   - only rank r's thread calls deliver() on r's endpoint, so each
 //     (sender, receiver) ring has exactly one producer.
 //   - pop_match / pop_match_any / try_pop_match on an endpoint are called
 //     only by the owning rank thread.
-//   - purge_tag_range(lo, hi) requires the tag range to be quiescent: no
-//     rank thread is sending or receiving traffic in [lo, hi) (the service
-//     layer purges a band after joining the band's rank threads).
+//   - purge() requires the fabric to be quiescent: no rank thread is
+//     sending or receiving (the service layer purges a slot's fabric after
+//     joining the slot's rank threads).
 //   - interrupt_all() and inject() may be called from any thread.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "net/message.hpp"
 #include "serial/bytes.hpp"
@@ -67,30 +71,27 @@ TRIOLET_STATS_FIELDS(MsgStats, eager_msgs, rendezvous_msgs, pool_hits,
                      pool_misses, ring_full_stalls)
 
 class Transport {
-  class Domain;  // one tag band's P*P fabric (ring_transport.cpp)
+  struct Receiver;  // one rank's rings, match table and parker (.cpp)
 
  public:
-  /// One rank's attachment to the transport within one tag band (a leased
-  /// job band under the service layer, band 0 otherwise). The endpoint is
-  /// owned by the transport and stays valid for the transport's lifetime.
+  /// One rank's handle on the fabric: a (transport, rank) pair, cheap to
+  /// copy. Valid for the transport's lifetime.
   class Endpoint {
    public:
-    Endpoint(Domain* domain, int rank) : domain_(domain), rank_(rank) {}
+    Endpoint(Transport* transport, int rank)
+        : transport_(transport), rank_(rank) {}
 
-    /// Ships `sg` to rank `dst` under (already band-mapped) `tag`, stamped
-    /// with sg.stream_checksum(). Borrowed segments in `sg` are copied
-    /// before return, so they only need to live for the call. Throws
+    /// Ships `sg` to rank `dst` under `tag`, stamped with
+    /// sg.stream_checksum(). Borrowed segments in `sg` are copied before
+    /// return, so they only need to live for the call. Throws
     /// BufferOverflow when sg.size() exceeds the configured limit.
     void deliver(int dst, int tag, serial::SegmentedBytes sg,
                  MsgStats& stats);
 
     /// Blocks until a message matching (src, tag) is available and removes
-    /// it. kAnySource / kAnyTag act as wildcards; a kAnyTag pattern only
-    /// matches tags in [wild_lo, wild_hi). Throws ClusterAborted when
-    /// `aborted` (or the optional `also_aborted`) is raised while waiting.
-    Message pop_match(int src, int tag, const std::atomic<bool>& aborted,
-                      int wild_lo, int wild_hi,
-                      const std::atomic<bool>* also_aborted);
+    /// it. kAnySource / kAnyTag act as wildcards. Throws ClusterAborted
+    /// when `aborted` is raised while waiting.
+    Message pop_match(int src, int tag, const std::atomic<bool>& aborted);
 
     /// Blocks until a message matching any of `patterns` is available;
     /// removes and returns it with `which` set to the matching pattern
@@ -99,16 +100,14 @@ class Transport {
     /// index), preserving per-(src, tag) FIFO delivery.
     Message pop_match_any(std::span<const std::pair<int, int>> patterns,
                           const std::atomic<bool>& aborted,
-                          std::size_t& which, int wild_lo, int wild_hi,
-                          const std::atomic<bool>* also_aborted);
+                          std::size_t& which);
 
     /// Non-blocking pop_match; returns false when nothing matches.
-    bool try_pop_match(int src, int tag, Message& out, int wild_lo,
-                       int wild_hi);
+    bool try_pop_match(int src, int tag, Message& out);
 
    private:
-    Domain* domain_;
-    const int rank_;
+    Transport* transport_;
+    int rank_;
   };
 
   Transport(int nranks, const TransportOptions& options);
@@ -116,19 +115,17 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// The endpoint of `rank` in the band starting at `band_base` (0 = the
-  /// identity band). Thread-safe; idempotent per (rank, band_base).
-  Endpoint& attach(int rank, int band_base);
+  /// The endpoint of `rank`.
+  Endpoint endpoint(int rank);
 
-  /// Drops every pending message whose tag is in [lo, hi) on every rank —
-  /// including descriptors still in flight inside rings — returning their
-  /// buffers to the pool. Returns how many messages were dropped. See the
-  /// quiescence contract in the file comment.
-  std::size_t purge_tag_range(int lo, int hi);
+  /// Drops every pending message on every rank — including descriptors
+  /// still in flight inside rings — returning their buffers to the pool.
+  /// See the quiescence contract in the file comment.
+  void purge();
 
   /// Wakes every blocked receiver without delivering anything; waiters
-  /// re-check their abort flags (cluster-wide and per-job) and either
-  /// throw ClusterAborted or go back to sleep.
+  /// re-check their abort flag and either throw ClusterAborted or go back
+  /// to sleep.
   void interrupt_all();
 
   /// Test hook: deposits `m` at rank `dst` exactly as given — checksum and
@@ -136,15 +133,11 @@ class Transport {
   void inject(int dst, Message m);
 
  private:
-  Domain& domain_locked(int band_base);
+  Receiver& rx(int rank) { return *rx_[static_cast<std::size_t>(rank)]; }
 
-  const int nranks_;
   const std::size_t max_message_bytes_;
   const std::size_t eager_bytes_;
-
-  std::mutex mu_;
-  std::unordered_map<int, std::unique_ptr<Domain>> domains_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Endpoint>> endpoints_;
+  std::vector<std::unique_ptr<Receiver>> rx_;
 };
 
 }  // namespace triolet::net

@@ -23,20 +23,19 @@ JobResult JobHandle::wait() {
   return state_->result;
 }
 
-JobManager::JobManager(ServiceOptions options)
-    : opts_(options),
-      state_(options.nranks, net::TransportOptions{}) {
+JobManager::JobManager(ServiceOptions options) : opts_(options) {
   TRIOLET_CHECK(opts_.nranks >= 1, "service needs at least one rank");
   TRIOLET_CHECK(opts_.threads_per_rank >= 1,
                 "service needs at least one pool worker per rank");
   TRIOLET_CHECK(opts_.max_queued >= 1, "admission queue must hold a job");
   TRIOLET_CHECK(opts_.batch_limit >= 1, "batch limit must be positive");
-  TRIOLET_CHECK(opts_.max_concurrent >= 1 &&
-                    opts_.max_concurrent <= bands_.capacity(),
-                "max_concurrent must fit the leasable band capacity");
-  // Same startup audit Cluster::run performs: the static reserved bands
-  // (and the job-band region above them) must be pairwise disjoint.
+  TRIOLET_CHECK(opts_.max_concurrent >= 1,
+                "service needs at least one concurrent group");
+  // Same startup audit Cluster::run performs: the reserved bands must be
+  // pairwise disjoint.
   net::assert_tag_bands_disjoint();
+  slots_.resize(static_cast<std::size_t>(opts_.max_concurrent));
+  slot_busy_.assign(slots_.size(), false);
 
   const std::size_t budget = opts_.slice_cache_bytes == ~std::size_t{0}
                                  ? net::slice_cache_budget()
@@ -153,8 +152,8 @@ void JobManager::dispatcher_main() {
     }
 
     // Pop the head job plus every batchable follower (same nonzero
-    // batch_key, up to batch_limit): one group = one band lease, one set of
-    // rank threads and Comms, bodies sequential.
+    // batch_key, up to batch_limit): one group = one slot, one set of rank
+    // threads and Comms, bodies sequential.
     std::vector<std::shared_ptr<detail::JobState>> group;
     group.push_back(queue_.front());
     queue_.pop_front();
@@ -173,10 +172,18 @@ void JobManager::dispatcher_main() {
     }
     cv_space_.notify_all();
 
-    // max_concurrent <= band capacity and each running group holds exactly
-    // one lease, so this cannot exhaust (the ctor check makes that an
-    // invariant, not a hope).
-    net::TagMap band = bands_.lease();
+    // Fewer than max_concurrent groups run and each holds one slot, so a
+    // slot is free; the lowest free one is taken.
+    const auto free_slot = static_cast<std::size_t>(
+        std::find(slot_busy_.begin(), slot_busy_.end(), false) -
+        slot_busy_.begin());
+    TRIOLET_CHECK(free_slot < slots_.size(), "no free slot for a group");
+    slot_busy_[free_slot] = true;
+    if (!slots_[free_slot]) {
+      slots_[free_slot] = std::make_unique<net::ClusterState>(
+          opts_.nranks, net::TransportOptions{});
+    }
+    const int slot = static_cast<int>(free_slot);
     stats_.bands_leased += 1;
     running_ += 1;
     stats_.peak_concurrent = std::max(stats_.peak_concurrent, running_);
@@ -187,25 +194,24 @@ void JobManager::dispatcher_main() {
     }
     for (auto& js : group) {
       js->result.queued_seconds = js->queued.seconds();
-      js->result.band_base = band.base;
+      js->result.slot = slot;
       js->result.batched_with = static_cast<int>(group.size()) - 1;
     }
     const std::uint64_t group_id = group.front()->id;
     group_threads_.emplace(
-        group_id, std::thread([this, band, jobs = std::move(group)]() mutable {
-          run_group(band, std::move(jobs));
+        group_id, std::thread([this, slot, jobs = std::move(group)]() mutable {
+          run_group(slot, std::move(jobs));
         }));
   }
 }
 
-void JobManager::run_group(net::TagMap band,
+void JobManager::run_group(int slot,
                            std::vector<std::shared_ptr<detail::JobState>> jobs) {
   const int p = opts_.nranks;
   const std::size_t n = jobs.size();
-  // The group's private abort flag: a failing job raises it (plus
-  // ClusterState::interrupt_all) so only THIS group's blocked receives
-  // unwind — unrelated jobs' waiters re-check their own flags and sleep on.
-  auto aborted = std::make_shared<std::atomic<bool>>(false);
+  // The slot is this group's alone until it is returned below: a failing
+  // job's abort_all() wakes only this group's blocked receives.
+  net::ClusterState& state = *slots_[static_cast<std::size_t>(slot)];
 
   std::mutex agg_mu;
   std::vector<net::CommStats> sums(n);
@@ -215,19 +221,18 @@ void JobManager::run_group(net::TagMap band,
   std::size_t error_job = n;
 
   auto rank_main = [&](int r) {
-    net::Comm comm(r, &state_, band, residency_[static_cast<std::size_t>(r)].get(),
-                   aborted.get());
+    net::Comm comm(r, &state, residency_[static_cast<std::size_t>(r)].get());
     runtime::PoolScope pool_scope(*pools_[static_cast<std::size_t>(r)]);
     for (std::size_t j = 0; j < n; ++j) {
-      if (aborted->load(std::memory_order_acquire)) break;
+      if (state.aborted.load(std::memory_order_acquire)) break;
       net::CommStats before = comm.snapshot_stats();
       Stopwatch sw;
       try {
         JobContext ctx(&comm, jobs[j]->id, &jobs[j]->opts.name);
         jobs[j]->body(ctx);
       } catch (const net::ClusterAborted&) {
-        // Secondary failure: this rank was blocked when a peer (or the
-        // whole cluster) aborted. The root cause is recorded elsewhere.
+        // Secondary failure: this rank was blocked when a peer aborted the
+        // slot. The root cause is recorded elsewhere.
         break;
       } catch (const std::exception& e) {
         {
@@ -237,8 +242,7 @@ void JobManager::run_group(net::TagMap band,
             error_job = j;
           }
         }
-        aborted->store(true, std::memory_order_release);
-        state_.interrupt_all();
+        state.abort_all();
         break;
       }
       const double secs = sw.seconds();
@@ -250,17 +254,20 @@ void JobManager::run_group(net::TagMap band,
     }
   };
 
+  // Rank 0 runs on this group thread, which would otherwise only wait in
+  // join().
   std::vector<std::thread> ranks;
-  ranks.reserve(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) ranks.emplace_back(rank_main, r);
+  ranks.reserve(static_cast<std::size_t>(p - 1));
+  for (int r = 1; r < p; ++r) ranks.emplace_back(rank_main, r);
+  rank_main(0);
   for (auto& t : ranks) t.join();
 
-  // The band is quiet now (every rank joined): purge stranded messages — an
+  // The slot is quiet now (every rank joined): purge stranded messages — an
   // aborted job's unconsumed traffic, including descriptors still parked in
-  // ring slots — so the next lessee starts clean and pooled buffers flow
-  // back to the allocator.
-  state_.transport.purge_tag_range(band.any_lo(), band.any_hi());
-  bands_.reclaim(band);
+  // ring slots — so the slot's next group starts clean and pooled buffers
+  // flow back to the allocator. The slot is returned below, under mu_.
+  state.transport.purge();
+  state.aborted.store(false, std::memory_order_relaxed);
 
   std::int64_t completed = 0, failed = 0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -290,6 +297,7 @@ void JobManager::run_group(net::TagMap band,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  slot_busy_[static_cast<std::size_t>(slot)] = false;
   finished_groups_.push_back(jobs.front()->id);
   stats_.completed += completed;
   stats_.failed += failed;

@@ -5,25 +5,26 @@
 // Cluster::run is run-to-completion — every skeleton program pays cluster
 // construction, per-rank thread-pool spawn, and a cold slice cache, and two
 // programs can never overlap. The JobManager turns that substrate into a
-// server: one ClusterState, one work-stealing pool per rank, and one
-// manager-owned Residency per rank stay alive across jobs, and many jobs
-// run *concurrently* against them:
+// server: up to max_concurrent slots (each a ClusterState: one fabric and
+// its abort flag), one work-stealing pool per rank, and one manager-owned
+// Residency per rank stay alive across jobs, and many jobs run
+// *concurrently* against them:
 //
 //   admission    submit() enqueues a job body; the queue is bounded
 //                (ServiceOptions::max_queued), so submit blocks for space —
 //                backpressure — while try_submit rejects instead. A
 //                dispatcher thread launches up to max_concurrent job groups
 //                at a time.
-//   isolation    each group leases one tag band from the BandAllocator and
-//                runs its ranks on Comms whose TagMap folds the whole
-//                canonical tag space into the lease, so concurrent jobs'
-//                traffic can never cross-match. A failing job raises its
-//                group's private abort flag (not the cluster's), so only
-//                that group's blocked receives unwind; the band is purged
-//                and reclaimed afterwards.
+//   isolation    each group takes a free slot and runs its ranks on Comms
+//                over that slot's fabric, with canonical tags. No other
+//                group sends into or receives from that fabric, so
+//                concurrent jobs' traffic can never cross-match. A failing
+//                job aborts its slot only, so only that group's blocked
+//                receives unwind; once the ranks have joined, the slot's
+//                fabric is purged, its flag cleared and the slot returned.
 //   batching     jobs submitted with the same nonzero batch_key coalesce
-//                (up to batch_limit) into one group: one band lease, one
-//                set of rank threads and Comms, bodies run sequentially.
+//                (up to batch_limit) into one group: one slot, one set of
+//                rank threads and Comms, bodies run sequentially.
 //                Small same-shape jobs amortize the per-group spawn cost —
 //                the dominant cost of a short job — across the batch.
 //   accounting   each job's JobResult carries the summed-over-ranks
@@ -37,7 +38,6 @@
 // job's result is bitwise identical to the same job run alone
 // (tests/test_svc.cpp asserts this under a concurrent mix).
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -55,7 +55,6 @@
 #include "runtime/thread_pool.hpp"
 #include "sched/policy.hpp"
 #include "support/timing.hpp"
-#include "svc/band_allocator.hpp"
 
 namespace triolet::svc {
 
@@ -63,7 +62,7 @@ struct ServiceOptions {
   int nranks = 4;
   /// Workers in each rank's resident thread pool.
   int threads_per_rank = 1;
-  /// Job groups running at once; also bounds live band leases.
+  /// Job groups running at once; also the number of slots (fabrics).
   int max_concurrent = 3;
   /// Admission-queue depth: submit() blocks (try_submit rejects) beyond it.
   int max_queued = 64;
@@ -87,7 +86,7 @@ struct ServiceStats {
   std::int64_t batches = 0;       // groups that coalesced > 1 job
   std::int64_t batched_jobs = 0;  // jobs that rode in such groups
   int peak_concurrent = 0;        // max simultaneously running groups
-  std::int64_t bands_leased = 0;  // lifetime band leases
+  std::int64_t bands_leased = 0;  // groups dispatched, one slot each
   /// Aggregated over the manager-owned per-rank slice caches.
   net::ResidencyStats residency{};
 };
@@ -96,7 +95,7 @@ struct JobOptions {
   std::string name;
   /// Has no effect; kept only because perfbench/service.cpp still sets it.
   int weight = 1;
-  /// Nonzero: queued jobs with the same key may share one group (band,
+  /// Nonzero: queued jobs with the same key may share one group (slot,
   /// rank threads, Comms), running sequentially. 0 = never batched.
   std::uint64_t batch_key = 0;
 };
@@ -115,7 +114,7 @@ struct JobResult {
   double queued_seconds = 0.0;  // submit -> dispatch
   double run_seconds = 0.0;     // max over ranks of the body's wall time
   std::uint64_t job_id = 0;
-  int band_base = 0;            // the group's leased band
+  int slot = 0;                 // the group's slot, in [0, max_concurrent)
   int batched_with = 0;         // other jobs that shared the group
   /// Always zero; kept only because perfbench/service.cpp still reads it.
   FairShareStats fair_share;
@@ -123,8 +122,8 @@ struct JobResult {
 
 class JobManager;
 
-/// What a job body receives on every rank: its Comm (band-mapped, shared
-/// residency) plus the job identity.
+/// What a job body receives on every rank: its Comm (on the group's slot,
+/// shared residency) plus the job identity.
 class JobContext {
  public:
   net::Comm& comm() { return *comm_; }
@@ -211,20 +210,21 @@ class JobManager {
 
   ServiceStats stats() const;
   const ServiceOptions& options() const { return opts_; }
-  int bands_in_use() const { return bands_.leased(); }
 
  private:
   void dispatcher_main();
-  void run_group(net::TagMap band,
-                 std::vector<std::shared_ptr<detail::JobState>> jobs);
+  void run_group(int slot, std::vector<std::shared_ptr<detail::JobState>> jobs);
 
   ServiceOptions opts_;
-  net::ClusterState state_;
   std::vector<std::unique_ptr<runtime::ThreadPool>> pools_;
   /// Stats sinks must outlive the Residency objects that point at them.
   std::vector<std::unique_ptr<net::ResidencyStats>> residency_sinks_;
   std::vector<std::unique_ptr<net::Residency>> residency_;
-  BandAllocator bands_;
+  /// max_concurrent slots, each built by the dispatcher the first time a
+  /// group takes it. A slot is busy while its group runs (slot_busy_,
+  /// guarded by mu_); its group alone touches it then.
+  std::vector<std::unique_ptr<net::ClusterState>> slots_;
+  std::vector<bool> slot_busy_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_dispatch_;  // dispatcher: work or a free slot

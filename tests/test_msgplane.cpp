@@ -1,16 +1,16 @@
 // Tests for the lock-free messaging data plane (net/pool, net/transport,
 // net/ring_transport): buffer-pool accounting, SPSC ring ordering incl. the
-// overflow lane, match-table semantics (per-(src, tag) FIFO, wildcard and
-// job-band windows, earliest-wins ties, purge), the eager/rendezvous
-// protocol boundary, a traffic mix's literal transcript, steady-state
-// allocation-free operation, and band purges racing live traffic in the
-// service layer.
+// overflow lane, match-table semantics (per-(src, tag) FIFO, wildcards,
+// earliest-wins ties, purge), the eager/rendezvous protocol boundary, a
+// traffic mix's literal transcript, steady-state allocation-free operation,
+// and one service slot's fabric purge racing live traffic in another slot.
+// That a reused slot starts with no stranded traffic is test_svc's
+// JobManagerTest.AReusedSlotStartsWithNoStrandedTraffic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,10 +35,6 @@ struct SpscRingTestPeer {
 };
 
 namespace {
-
-/// Full-open wildcard window for direct MatchTable probes (kAnyTag itself
-/// is the *pattern* wildcard, not a window bound).
-constexpr int kMaxTag = std::numeric_limits<int>::max();
 
 // -- BufferPool ---------------------------------------------------------------
 
@@ -193,15 +189,15 @@ TEST(MatchTableTest, ExactMatchIsFifoPerKey) {
   ASSERT_EQ(t.size(), 3u);
 
   // (1, 7) twice in arrival order, untouched by the (2, 7) entry between.
-  auto* e = t.find(1, 7, 0, kMaxTag);
+  auto* e = t.find(1, 7);
   ASSERT_NE(e, nullptr);
   Message first = t.take(e);
   EXPECT_EQ(first.src, 1);
-  e = t.find(1, 7, 0, kMaxTag);
+  e = t.find(1, 7);
   ASSERT_NE(e, nullptr);
   t.take(e);
-  EXPECT_EQ(t.find(1, 7, 0, kMaxTag), nullptr);
-  ASSERT_NE(t.find(2, 7, 0, kMaxTag), nullptr);
+  EXPECT_EQ(t.find(1, 7), nullptr);
+  ASSERT_NE(t.find(2, 7), nullptr);
 }
 
 TEST(MatchTableTest, AnySourcePicksTheEarliestAcrossBuckets) {
@@ -209,48 +205,35 @@ TEST(MatchTableTest, AnySourcePicksTheEarliestAcrossBuckets) {
   t.insert(msg(3, 9));
   t.insert(msg(1, 9));
   t.insert(msg(2, 8));  // different tag, never matched below
-  auto* e = t.find(kAnySource, 9, 0, kMaxTag);
+  auto* e = t.find(kAnySource, 9);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(t.take(e).src, 3);  // arrived first
-  e = t.find(kAnySource, 9, 0, kMaxTag);
+  e = t.find(kAnySource, 9);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(t.take(e).src, 1);
-  EXPECT_EQ(t.find(kAnySource, 9, 0, kMaxTag), nullptr);
+  EXPECT_EQ(t.find(kAnySource, 9), nullptr);
   EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(MatchTableTest, AnyTagHonorsTheWildcardWindow) {
+  // A kAnyTag pattern's only window is its source: it sees every tag that
+  // source sent, earliest first, from the reserved bands too, and nothing
+  // another source sent.
   MatchTable t(2);
-  t.insert(msg(0, 5));
-  t.insert(msg(0, 50));
   t.insert(msg(0, 500));
-  // Window [10, 100) sees only tag 50.
-  auto* e = t.find(0, kAnyTag, 10, 100);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(t.take(e).tag, 50);
-  EXPECT_EQ(t.find(0, kAnyTag, 10, 100), nullptr);
-  // The others remain for a full-range wildcard, earliest first.
-  e = t.find(kAnySource, kAnyTag, 0, kMaxTag);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(t.take(e).tag, 5);
-
-  // A job band's window: an any-source wildcard sees the band's first and
-  // last tag and neither neighbor.
-  const int base = job_band_base(0);
-  const int end = base + kJobBandWidth;
-  for (int tag : {base - 1, base, end - 1, end}) t.insert(msg(1, tag));
-  for (int tag : {base, end - 1}) {
-    e = t.find(kAnySource, kAnyTag, base, end);
+  t.insert(msg(1, 7));
+  t.insert(msg(0, 5));
+  t.insert(msg(0, kFirstReservedTag));
+  for (int tag : {500, 5, kFirstReservedTag}) {
+    auto* e = t.find(0, kAnyTag);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(t.take(e).tag, tag);
   }
-  EXPECT_EQ(t.find(kAnySource, kAnyTag, base, end), nullptr);
-  // Out-of-band traffic is still there for an unwindowed wildcard.
-  for (int tag : {500, base - 1, end}) {
-    e = t.find(kAnySource, kAnyTag, 0, kMaxTag);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(t.take(e).tag, tag);
-  }
+  EXPECT_EQ(t.find(0, kAnyTag), nullptr);
+  // The other source's message is still there for a full wildcard.
+  auto* e = t.find(kAnySource, kAnyTag);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(t.take(e).src, 1);
   EXPECT_TRUE(t.empty());
 }
 
@@ -259,17 +242,17 @@ TEST(MatchTableTest, FindAnyTieGoesToTheLowestPatternIndex) {
   t.insert(msg(0, 3));
   const std::pair<int, int> patterns[] = {{kAnySource, 3}, {0, kAnyTag}};
   std::size_t which = 99;
-  auto* e = t.find_any(patterns, which, 0, kMaxTag);
+  auto* e = t.find_any(patterns, which);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(which, 0u);  // both match the same entry; lowest index wins
 
   // With an earlier message only the second pattern matches, earliest wins
   // over pattern order.
   t.insert(msg(0, 4));
-  auto* first = t.find(0, 3, 0, kMaxTag);
+  auto* first = t.find(0, 3);
   t.take(first);
   which = 99;
-  e = t.find_any(patterns, which, 0, kMaxTag);
+  e = t.find_any(patterns, which);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(which, 1u);
   EXPECT_EQ(e->msg.tag, 4);
@@ -280,24 +263,8 @@ TEST(MatchTableTest, PurgeRangeDropsExactlyTheWindow) {
   for (int i = 0; i < 10; ++i) t.insert(msg(0, i));
   EXPECT_EQ(t.purge_range(3, 7), 4u);
   EXPECT_EQ(t.size(), 6u);
-  for (int i : {3, 4, 5, 6}) EXPECT_EQ(t.find(0, i, 0, kMaxTag), nullptr);
-  for (int i : {0, 1, 2, 7, 8, 9}) {
-    EXPECT_NE(t.find(0, i, 0, kMaxTag), nullptr) << i;
-  }
-
-  // A job band: the purge drops its first and last tag, keeps both
-  // neighbors, and leaves the earlier traffic alone.
-  const int base = job_band_base(1);
-  const int end = base + kJobBandWidth;
-  for (int tag : {base - 1, base, end - 1, end}) t.insert(msg(1, tag));
-  EXPECT_EQ(t.purge_range(base, end), 2u);
-  EXPECT_EQ(t.size(), 8u);
-  for (int tag : {base - 1, end}) {
-    auto* e = t.find(kAnySource, kAnyTag, base - 1, end + 1);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(t.take(e).tag, tag);
-  }
-  EXPECT_EQ(t.find(kAnySource, kAnyTag, base - 1, end + 1), nullptr);
+  for (int i : {3, 4, 5, 6}) EXPECT_EQ(t.find(0, i), nullptr);
+  for (int i : {0, 1, 2, 7, 8, 9}) EXPECT_NE(t.find(0, i), nullptr) << i;
 }
 
 TEST(MatchTableTest, SurvivesRehashUnderManyDistinctKeys) {
@@ -306,7 +273,7 @@ TEST(MatchTableTest, SurvivesRehashUnderManyDistinctKeys) {
   for (int i = 0; i < n; ++i) t.insert(msg(0, i));
   EXPECT_EQ(t.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto* e = t.find(0, i, 0, kMaxTag);
+    auto* e = t.find(0, i);
     ASSERT_NE(e, nullptr) << i;
     EXPECT_EQ(t.take(e).tag, i);
   }
@@ -459,13 +426,13 @@ TEST(SteadyState, ClusterTeardownReturnsEveryPooledBuffer) {
       << "transport teardown leaked pooled buffers";
 }
 
-// -- band purge under live neighbor traffic -----------------------------------
+// -- slot purge under live neighbor traffic -----------------------------------
 
 TEST(BandPurge, PurgeRacesLiveTrafficInNeighborBandsSafely) {
-  // Several short-lived failing jobs (their bands are purged on teardown,
-  // sweeping in-flight ring descriptors) while a long-running job keeps the
-  // transport busy with collectives. The live job must finish correctly and
-  // nothing may leak from the purged bands.
+  // Several short-lived failing jobs (their slot's fabric is purged after
+  // each one, sweeping in-flight ring descriptors) while a long-running job
+  // keeps the other slot's fabric busy with collectives. The live job must
+  // finish correctly and nothing may leak from the purged fabric.
   const std::int64_t before = BufferPool::instance().outstanding();
   {
     svc::ServiceOptions so;
@@ -493,7 +460,7 @@ TEST(BandPurge, PurgeRacesLiveTrafficInNeighborBandsSafely) {
 
     for (int j = 0; j < 6; ++j) {
       svc::JobHandle bad = mgr.submit({"bad"}, [](svc::JobContext& ctx) {
-        // Strand traffic in the band: unreceived sends in both directions,
+        // Strand traffic in the slot: unreceived sends in both directions,
         // above and below the eager threshold, then fail on one rank.
         const int peer = 1 - ctx.rank();
         ctx.comm().send(peer, 50, std::vector<char>(16, 'x'));
@@ -510,7 +477,7 @@ TEST(BandPurge, PurgeRacesLiveTrafficInNeighborBandsSafely) {
     EXPECT_EQ(mgr.stats().failed, 6);
   }
   EXPECT_EQ(BufferPool::instance().outstanding(), before)
-      << "band purges leaked in-flight pooled buffers";
+      << "slot purges leaked in-flight pooled buffers";
 }
 
 }  // namespace

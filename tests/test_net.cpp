@@ -228,6 +228,18 @@ TEST(Cluster, StatsCountMessagesAndBytes) {
   EXPECT_EQ(res.total_stats.bytes_received, 408);
 }
 
+TEST(CommDeath, NegativeTagSendAborts) {
+  // Negative tags are receive wildcards (kAnyTag): a message sent under
+  // one would match every kAnyTag receive, so every send rejects it.
+  EXPECT_DEATH(
+      {
+        ClusterState state(2, TransportOptions{});
+        Comm comm(0, &state);
+        comm.send(1, -3, 42);
+      },
+      "send tags must be non-negative");
+}
+
 TEST(Transport, InterruptAllWakesABlockedRingReceiver) {
   // Lost-wakeup regression: a ring endpoint parked in pop_match must
   // observe abort_all() promptly no matter where it is in its spin/park

@@ -1,10 +1,10 @@
-// Tests for the service layer (src/svc/): per-job tag-band leasing and the
-// TagMap compression behind it, admission/backpressure and batching in the
-// JobManager, per-job stats attribution, failure isolation between
-// concurrent jobs, and the bitwise-determinism contract: a kOrdered job run
-// inside a busy service equals the same job run alone. Band-restricted
-// wildcard matching and band purges are test_msgplane's MatchTableTest
-// cases.
+// Tests for the service layer (src/svc/): admission/backpressure and
+// batching in the JobManager, slot isolation (concurrent jobs on the same
+// tags never cross-match, and a reused slot starts clean), per-job stats
+// attribution, failure isolation between concurrent jobs, and the
+// bitwise-determinism contract: a kOrdered job run inside a busy service
+// equals the same job run alone. A slot's purge racing live traffic in
+// another slot is test_msgplane's BandPurge case.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +23,8 @@
 #include "dist/views.hpp"
 #include "net/cluster.hpp"
 #include "net/pool.hpp"
-#include "net/tags.hpp"
 #include "sched/tuner.hpp"
 #include "support/rng.hpp"
-#include "svc/band_allocator.hpp"
 #include "svc/job_manager.hpp"
 
 namespace triolet::svc {
@@ -57,94 +55,6 @@ Array1<double> spiky_array(index_t n, std::uint64_t seed) {
 
 bool bitwise_equal(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-// -- TagMap -------------------------------------------------------------------
-
-TEST(TagMap, IdentityMapsEverythingUnchanged) {
-  net::TagMap id;
-  EXPECT_TRUE(id.identity());
-  EXPECT_EQ(id.map(0), 0);
-  EXPECT_EQ(id.map(12345), 12345);
-  EXPECT_EQ(id.map(net::kTagSchedBand), net::kTagSchedBand);
-  EXPECT_EQ(id.map_pattern(net::kAnyTag), net::kAnyTag);
-  EXPECT_EQ(id.any_lo(), 0);
-}
-
-TEST(TagMap, LeasedBandCompressesEveryTrafficClass) {
-  const int base = net::job_band_base(3);
-  net::TagMap m{base};
-  EXPECT_FALSE(m.identity());
-  EXPECT_EQ(m.any_lo(), base);
-  EXPECT_EQ(m.any_hi(), base + net::kJobBandWidth);
-
-  // User tags land at the bottom of the band.
-  EXPECT_EQ(m.map(0), base);
-  EXPECT_EQ(m.map(100), base + 100);
-  // Each reserved class lands at its own compressed offset.
-  EXPECT_EQ(m.map(net::kTagSchedBand), base + net::kJobSchedOffset);
-  EXPECT_EQ(m.map(net::kTagResidencyBand), base + net::kJobResidencyOffset);
-  EXPECT_EQ(m.map(net::kFirstReservedTag), base + net::kJobCollectiveOffset);
-  // Wildcards pass through map_pattern.
-  EXPECT_EQ(m.map_pattern(net::kAnyTag), net::kAnyTag);
-  // Everything maps inside the lease.
-  for (int t : {0, net::kTagSchedBand + 5, net::kTagResidencyBand + 63,
-                net::kFirstReservedTag + 100}) {
-    EXPECT_GE(m.map(t), m.any_lo());
-    EXPECT_LT(m.map(t), m.any_hi());
-  }
-}
-
-TEST(TagMap, DistinctLeasesNeverCollide) {
-  net::TagMap a{net::job_band_base(0)};
-  net::TagMap b{net::job_band_base(1)};
-  // The same canonical tag maps into disjoint ranges.
-  for (int t : {0, 7, net::kTagSchedBand, net::kFirstReservedTag}) {
-    const int ma = a.map(t), mb = b.map(t);
-    EXPECT_TRUE(ma < b.any_lo() || ma >= b.any_hi());
-    EXPECT_TRUE(mb < a.any_lo() || mb >= a.any_hi());
-  }
-}
-
-// -- BandAllocator ------------------------------------------------------------
-
-TEST(BandAllocatorTest, LeasesAreDistinctAuditedAndReusedLowestFirst) {
-  BandAllocator alloc(3);
-  EXPECT_EQ(alloc.capacity(), 3);
-
-  net::TagMap a = alloc.lease();
-  net::TagMap b = alloc.lease();
-  EXPECT_EQ(a.base, net::job_band_base(0));
-  EXPECT_EQ(b.base, net::job_band_base(1));
-  EXPECT_EQ(alloc.leased(), 2);
-  // The dynamic extension of assert_tag_bands_disjoint: any candidate slot
-  // audits clean against the static table and the active leases.
-  std::string why;
-  EXPECT_TRUE(alloc.candidate_disjoint(2, &why)) << why;
-
-  alloc.reclaim(a);
-  EXPECT_EQ(alloc.leased(), 1);
-  net::TagMap c = alloc.lease();
-  EXPECT_EQ(c.base, net::job_band_base(0));  // lowest-first reuse
-}
-
-TEST(BandAllocatorTest, ExhaustionIsAClearErrorNotAHang) {
-  BandAllocator alloc(2);
-  net::TagMap a = alloc.lease();
-  net::TagMap b = alloc.lease();
-  net::TagMap spare;
-  EXPECT_FALSE(alloc.try_lease(spare));
-  EXPECT_THROW(alloc.lease(), BandsExhausted);
-  try {
-    alloc.lease();
-    FAIL() << "lease past capacity must throw";
-  } catch (const BandsExhausted& e) {
-    EXPECT_NE(std::string(e.what()).find("2"), std::string::npos);
-  }
-  alloc.reclaim(b);
-  EXPECT_TRUE(alloc.try_lease(spare));
-  EXPECT_EQ(spare.base, b.base);
-  (void)a;
 }
 
 // -- JobManager: admission and backpressure -----------------------------------
@@ -202,32 +112,152 @@ TEST(JobManagerTest, TrySubmitRejectsWhenTheQueueIsFullAndSubmitBlocks) {
 TEST(JobManagerTest, ConcurrentGroupsHoldDistinctBandsAndReclaimThem) {
   ServiceOptions so;
   so.nranks = 2;
+  so.max_concurrent = 3;
+  JobManager mgr(so);
+
+  std::atomic<bool> release_a{false}, release_b{false};
+  std::atomic<int> started{0};
+  auto blocker = [&](std::atomic<bool>& release) {
+    return [&](JobContext& ctx) {
+      if (ctx.rank() == 0) started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      ctx.comm().barrier();
+    };
+  };
+  JobHandle a = mgr.submit({"a"}, blocker(release_a));
+  JobHandle b = mgr.submit({"b"}, blocker(release_b));
+  while (started.load() < 2) std::this_thread::yield();
+
+  // Two groups at once hold distinct slots, lowest first.
+  release_a.store(true);
+  JobResult ra = a.wait();
+  EXPECT_TRUE(ra.ok) << ra.error;
+  EXPECT_EQ(ra.slot, 0);
+  // a's group returns its slot in the same step that counts it completed.
+  while (mgr.stats().completed < 1) std::this_thread::yield();
+
+  // b still holds slot 1: the next group reuses slot 0, the lowest free
+  // one, not slot 2, which no group has used yet.
+  JobResult rc =
+      mgr.submit({"c"}, [](JobContext& ctx) { ctx.comm().barrier(); }).wait();
+  EXPECT_TRUE(rc.ok) << rc.error;
+  EXPECT_EQ(rc.slot, 0);
+
+  release_b.store(true);
+  JobResult rb = b.wait();
+  EXPECT_TRUE(rb.ok) << rb.error;
+  EXPECT_EQ(rb.slot, 1);
+  mgr.drain();
+  EXPECT_EQ(mgr.stats().peak_concurrent, 2);
+  EXPECT_EQ(mgr.stats().bands_leased, 3);
+}
+
+TEST(JobManagerTest, ConcurrentJobsWithTheSameTagsNeverCrossMatch) {
+  // Two jobs run at once on the same canonical tags: user tag 7, a
+  // (kAnySource, kAnyTag) receive, and one kOrdered dist::sum each, whose
+  // scheduler epochs and collective rounds are the same tags in both jobs.
+  // Each job's slot is a fabric of its own, so each sees only its own
+  // messages, and its sum equals the same sum run alone.
+  const int ranks = 2;
+  std::vector<Array1<double>> data{spiky_array(4096, 71),
+                                   spiky_array(4096, 72)};
+  sched::SchedOptions opts;
+  opts.combine = sched::CombineMode::kOrdered;
+  opts.grain = 64;
+
+  std::vector<double> solo(2, 0.0);
+  for (std::size_t j = 0; j < 2; ++j) {
+    auto res = net::Cluster::run(ranks, [&](net::Comm& comm) {
+      NodeRuntime node(1);
+      double r = dist::sum(comm, [&] { return from_array(data[j]); }, opts);
+      if (comm.rank() == 0) solo[j] = r;
+    });
+    ASSERT_TRUE(res.ok) << res.error;
+  }
+
+  ServiceOptions so;
+  so.nranks = ranks;
   so.max_concurrent = 2;
   JobManager mgr(so);
 
   std::atomic<bool> release{false};
   std::atomic<int> started{0};
-  auto blocker = [&](JobContext& ctx) {
-    if (ctx.rank() == 0) started.fetch_add(1);
-    while (!release.load()) std::this_thread::yield();
-    ctx.comm().barrier();
+  std::vector<std::uint64_t> seen(2 * ranks, 0);  // [job * ranks + rank]
+  std::vector<int> seen_tag(2 * ranks, -1);
+  std::vector<double> got(2, 0.0);
+  auto job = [&](std::size_t j) {
+    return [&, j](JobContext& ctx) {
+      if (ctx.rank() == 0) started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      net::Comm& comm = ctx.comm();
+      comm.send(1 - ctx.rank(), 7, ctx.job_id());
+      net::Message m = comm.recv_message(net::kAnySource, net::kAnyTag);
+      const std::size_t at = j * ranks + static_cast<std::size_t>(ctx.rank());
+      seen[at] = serial::from_bytes<std::uint64_t>(m.payload);
+      seen_tag[at] = m.tag;
+      double r = dist::sum(comm, [&] { return from_array(data[j]); }, opts);
+      if (ctx.rank() == 0) got[j] = r;
+    };
   };
-  JobHandle a = mgr.submit({"a"}, blocker);
-  JobHandle b = mgr.submit({"b"}, blocker);
+  JobHandle a = mgr.submit({"a"}, job(0));
+  JobHandle b = mgr.submit({"b"}, job(1));
+  // Both groups hold a slot before either sends a message.
   while (started.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(mgr.bands_in_use(), 2);
-
   release.store(true);
   JobResult ra = a.wait(), rb = b.wait();
-  EXPECT_TRUE(ra.ok);
-  EXPECT_TRUE(rb.ok);
-  EXPECT_GE(ra.band_base, net::kJobBandRegion);
-  EXPECT_GE(rb.band_base, net::kJobBandRegion);
-  EXPECT_NE(ra.band_base, rb.band_base);
-  mgr.drain();
-  EXPECT_EQ(mgr.bands_in_use(), 0);
-  EXPECT_EQ(mgr.stats().peak_concurrent, 2);
-  EXPECT_EQ(mgr.stats().bands_leased, 2);
+  ASSERT_TRUE(ra.ok) << ra.error;
+  ASSERT_TRUE(rb.ok) << rb.error;
+  EXPECT_NE(ra.slot, rb.slot);
+  const std::uint64_t ids[] = {ra.job_id, rb.job_id};
+  for (std::size_t j = 0; j < 2; ++j) {
+    for (int r = 0; r < ranks; ++r) {
+      const std::size_t at = j * ranks + static_cast<std::size_t>(r);
+      EXPECT_EQ(seen[at], ids[j]) << "job " << j << " rank " << r;
+      EXPECT_EQ(seen_tag[at], 7) << "job " << j << " rank " << r;
+    }
+    EXPECT_TRUE(bitwise_equal(got[j], solo[j]))
+        << "job " << j << ": concurrent " << got[j] << " != solo " << solo[j];
+  }
+}
+
+TEST(JobManagerTest, AReusedSlotStartsWithNoStrandedTraffic) {
+  // One slot, so the second job runs on the fabric the failed first job
+  // left behind. The purge must have swept its stranded eager and
+  // rendezvous messages (some possibly still in ring slots) back to the
+  // buffer pool, and the slot's abort flag must be clear, or the second
+  // job would find them, or stop before its body runs.
+  const std::int64_t pool_before = net::BufferPool::instance().outstanding();
+  {
+    ServiceOptions so;
+    so.nranks = 2;
+    so.max_concurrent = 1;
+    JobManager mgr(so);
+
+    JobResult failed = mgr.submit({"strander"}, [](JobContext& ctx) {
+      const int peer = 1 - ctx.rank();
+      ctx.comm().send(peer, 50, std::vector<char>(16, 'x'));
+      ctx.comm().send(peer, 50, std::vector<double>(4096, 2.0));
+      ctx.comm().barrier();
+      if (ctx.rank() == 1) throw std::runtime_error("stranded traffic");
+      (void)ctx.comm().recv<int>(peer, 60);  // never sent; the abort wakes it
+    }).wait();
+    EXPECT_FALSE(failed.ok);
+    EXPECT_NE(failed.error.find("stranded traffic"), std::string::npos)
+        << failed.error;
+
+    std::atomic<int> found_empty{0};
+    JobResult next = mgr.submit({"next"}, [&](JobContext& ctx) {
+      if (!ctx.comm().try_recv_message(net::kAnySource, 50)) {
+        found_empty.fetch_add(1);
+      }
+      ctx.comm().barrier();
+    }).wait();
+    ASSERT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.slot, failed.slot);
+    EXPECT_EQ(found_empty.load(), 2);
+  }
+  EXPECT_EQ(net::BufferPool::instance().outstanding(), pool_before)
+      << "the slot purge or transport teardown leaked pooled buffers";
 }
 
 /// This process's virtual size in MB from /proc/self/status, or -1 where
@@ -405,7 +435,7 @@ TEST(JobManagerTest, PerJobStatsIsolateConcurrentWorkloads) {
 
 TEST(JobManagerTest, AFailingJobDoesNotPoisonItsNeighbors) {
   // Pool-leak check: a failing job strands traffic — queued eager slabs and
-  // rendezvous nodes, possibly still sitting in ring slots — and the band
+  // rendezvous nodes, possibly still sitting in ring slots — and the slot
   // purge must sweep every one of them back to the buffer pool. Snapshot
   // the pool before the service exists and compare after it is torn down.
   const std::int64_t pool_before = net::BufferPool::instance().outstanding();
@@ -419,7 +449,7 @@ TEST(JobManagerTest, AFailingJobDoesNotPoisonItsNeighbors) {
     JobHandle bad = mgr.submit({"bad"}, [](JobContext& ctx) {
       ctx.comm().barrier();
       if (ctx.rank() == 1) throw std::runtime_error("synthetic job failure");
-      // Rank 0 blocks on a message that never comes; the group abort must
+      // Rank 0 blocks on a message that never comes; the slot's abort must
       // wake it (ClusterAborted), not hang it.
       (void)ctx.comm().recv<int>(1, 17);
     });
@@ -436,21 +466,22 @@ TEST(JobManagerTest, AFailingJobDoesNotPoisonItsNeighbors) {
     JobResult rg = good.wait();
     EXPECT_TRUE(rg.ok) << rg.error;
 
-    // The failed group's band was purged and reclaimed; the service keeps
-    // serving.
+    // The failed group's slot was purged and returned; it serves the next
+    // group (the lowest free slot), and the service keeps serving.
     mgr.drain();
-    EXPECT_EQ(mgr.bands_in_use(), 0);
     JobHandle after = mgr.submit({"after"}, [](JobContext& ctx) {
       ctx.comm().barrier();
     });
-    EXPECT_TRUE(after.wait().ok);
+    JobResult ra = after.wait();
+    EXPECT_TRUE(ra.ok) << ra.error;
+    EXPECT_EQ(ra.slot, rb.slot);
     mgr.drain();  // handle fulfillment precedes the aggregate-stats update
     ServiceStats s = mgr.stats();
     EXPECT_EQ(s.failed, 1);
     EXPECT_EQ(s.completed, 2);
   }
   EXPECT_EQ(net::BufferPool::instance().outstanding(), pool_before)
-      << "band purge / transport teardown leaked pooled buffers";
+      << "slot purge / transport teardown leaked pooled buffers";
 }
 
 TEST(JobManagerTest, BatchNeighborsOfAFailedJobReportTheRootCause) {
